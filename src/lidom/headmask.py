@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .costvol import CostVolume
 from .geom import pose_compose_t, quat_normalize_t, rotate_points_t
-from .pcops import FcStack, SharedMLP, set_upconv
+from .pcops import FcStack, SharedMLP, knn_indices, set_upconv
 
 __all__ = ["make_mask", "pose_head", "RefineBlock", "warp_refine"]
 
@@ -83,12 +83,13 @@ def warp_refine(blk: RefineBlock, coords1: T.Tensor, feats1: T.Tensor,
     this level instead of being conditioned on the coarser one.  use_warp
     False skips the rigid warp but keeps the residual composition.
     """
+    up_nbr = knn_indices(coords1.data, sparse_coords.data, up_k)
     ce = set_upconv(coords1, feats1, sparse_coords, sparse_embedding,
-                    up_k, blk.up_e1, blk.up_e2)
+                    up_nbr, blk.up_e1, blk.up_e2)
     cm = None
     if blk.up_m1 is not None and sparse_mask is not None:
         cm = set_upconv(coords1, feats1, sparse_coords, sparse_mask,
-                        up_k, blk.up_m1, blk.up_m2)
+                        up_nbr, blk.up_m1, blk.up_m2)
     warped = coords1
     if use_warp:
         warped = rotate_points_t(q_coarse, t_coarse, coords1)

@@ -283,6 +283,8 @@ class OdometryNet:
         for name, pc in (("pc1", pc1), ("pc2", pc2)):
             if pc.ndim != 2 or pc.shape[1] != 3 or pc.shape[0] < 1:
                 raise NetError(f"{name}: expected nonempty (n, 3) points")
+            if not np.isfinite(pc).all():
+                raise NetError(f"{name}: non-finite coordinates")
         if rng is None:
             rng = np.random.default_rng(0)
         cfg = self.cfg

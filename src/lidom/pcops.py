@@ -4,7 +4,11 @@ Index selection (farthest-point sampling, k nearest neighbors, random
 subsampling) runs on plain arrays and is deliberately outside the autodiff
 graph; gradients flow through the gathered coordinates and features instead.
 Both sampling routines are exact and deterministic: FPS breaks max-distance
-ties toward the lowest index, KNN sorts by (distance, index).
+ties toward the lowest index, KNN sorts by (distance, index).  KNN computes
+every squared distance but sorts only a partial selection: argpartition
+finds k candidates per query, and only rows tied at the k-th distance fall
+back to a full stable sort.  Both reject clouds that are not (n, 3) or not
+finite.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
@@ -25,7 +29,9 @@ __all__ = [
     "set_conv", "set_upconv",
 ]
 
-_KNN_CHUNK = 512
+# Queries per KNN chunk: rows * n_ref elements, so that each (rows, n_ref)
+# float64 work buffer is about 512 KiB and stays in a core's cache.
+_KNN_CHUNK_ELEMS = 1 << 16
 
 
 class PcopsError(ValueError):
@@ -52,44 +58,92 @@ class PointCloud:
         return self.coords.shape[0]
 
 
+def _points(a: np.ndarray, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise PcopsError(f"{name} needs shape (n, 3), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise PcopsError(f"{name} has non-finite coordinates")
+    return a
+
+
+def _sq_dists(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = (dx*dx + dy*dy) + dz*dz for broadcastable coordinate triples a
+    and b: the same rounding as ((a - b) ** 2).sum(-1), with no (..., 3)
+    temporary."""
+    np.subtract(a[0], b[0], out=out)
+    np.multiply(out, out, out=out)
+    for j in (1, 2):
+        np.subtract(a[j], b[j], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def farthest_point_sample(points: np.ndarray, m: int,
                           start_index: int = 0) -> np.ndarray:
-    """Greedy max-min sampling; returns m unique indices.
+    """Greedy max-min sampling; returns m indices.
 
     The first pick is start_index (0 for the deterministic mode; training
     passes a seeded draw).  Each later pick maximizes the distance to the
-    selected set, ties resolved to the lowest index.
+    selected set, ties resolved to the lowest index.  Picks are unique
+    unless the cloud has fewer than m distinct points.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _points(points, "points")
     n = points.shape[0]
     if m < 1 or m > n:
         raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
     if not 0 <= start_index < n:
         raise PcopsError(f"start index {start_index} out of range for {n}")
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
+    d2, nd, tmp = np.empty(n), np.empty(n), np.empty(n)
     sel = np.empty(m, dtype=np.int64)
     sel[0] = start_index
-    d2 = ((points - points[start_index]) ** 2).sum(axis=1)
+    _sq_dists(cols, points[start_index], d2, tmp)
     for i in range(1, m):
         nxt = int(np.argmax(d2))  # first max wins ties
         sel[i] = nxt
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dists(cols, points[nxt], nd, tmp), out=d2)
     return sel
 
 
 def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
-    """Exact brute-force k nearest neighbors; (m, k) indices into ref,
-    each row ordered by (squared distance, index)."""
-    query = np.asarray(query, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
+    """Exact k nearest neighbors; (m, k) indices into ref, each row ordered
+    by (squared distance, index).
+
+    Per chunk of queries: argpartition picks k candidates per row, which are
+    then ordered by (squared distance, index).  The candidates are the unique
+    answer unless more than k points lie within the k-th distance (a tie at
+    the k-th place); those rows alone take a full stable sort.
+    """
+    query = _points(query, "query")
+    ref = _points(ref, "ref")
     n = ref.shape[0]
     if k < 1 or k > n:
         raise PcopsError(f"k={k} invalid for a reference cloud of {n}")
+    ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
+    chunk = max(1, min(query.shape[0], _KNN_CHUNK_ELEMS // n))
+    d2_buf = np.empty((chunk, n))
+    tmp_buf = np.empty((chunk, n))
+    within_buf = np.empty((chunk, n), dtype=bool)
     out = np.empty((query.shape[0], k), dtype=np.int64)
-    for lo in range(0, query.shape[0], _KNN_CHUNK):
-        q = query[lo:lo + _KNN_CHUNK]
-        d2 = ((q[:, None, :] - ref[None, :, :]) ** 2).sum(axis=-1)
-        # stable sort keeps equal distances in ascending index order
-        out[lo:lo + q.shape[0]] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    for lo in range(0, query.shape[0], chunk):
+        q = query[lo:lo + chunk]
+        rows = q.shape[0]
+        d2, tmp, within = d2_buf[:rows], tmp_buf[:rows], within_buf[:rows]
+        _sq_dists(q.T[:, :, None], ref_cols, d2, tmp)
+        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cand.sort(axis=1)
+        cand_d2 = np.take_along_axis(d2, cand, axis=1)
+        # a stable sort of index-ordered candidates orders by (d2, index)
+        order = np.argsort(cand_d2, axis=1, kind="stable")
+        best = np.take_along_axis(cand, order, axis=1)
+        kth = cand_d2.max(axis=1, keepdims=True)
+        np.less_equal(d2, kth, out=within)
+        tied = np.flatnonzero(np.count_nonzero(within, axis=1) > k)
+        if tied.size:
+            best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        out[lo:lo + rows] = best
     return out
 
 
@@ -165,21 +219,17 @@ def _gather_grouped(t: T.Tensor, flat_idx: np.ndarray, m: int,
 
 
 def set_conv(coords: T.Tensor, feats: T.Tensor | None,
-             center_idx: np.ndarray, k: int, mlp: SharedMLP,
-             ref_coords: np.ndarray | None = None
+             center_idx: np.ndarray, k: int, mlp: SharedMLP
              ) -> tuple[T.Tensor, T.Tensor]:
     """Sampled local aggregation.
 
     For each center, gather its k nearest input points, run the shared MLP on
     (neighbor - center) concat neighbor features concat center features, and
     max-pool over the neighborhood.  Returns (center coords, features).
-    ref_coords overrides the array used for the neighbor query (callers pass
-    plain data to keep the query outside the graph).
     """
-    raw = coords.data if ref_coords is None else ref_coords
     centers = np.asarray(center_idx, dtype=np.int64)
     m = centers.shape[0]
-    nbr = knn_indices(raw[centers], raw, k)
+    nbr = knn_indices(coords.data[centers], coords.data, k)
     flat = nbr.reshape(m * k)
     rep = np.repeat(centers, k)
     nbr_coords = _gather_grouped(coords, flat, m, k)
@@ -196,15 +246,17 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
 
 def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor | None,
                sparse_coords: T.Tensor, sparse_feats: T.Tensor,
-               k: int, mlp1: SharedMLP, mlp2: SharedMLP) -> T.Tensor:
+               nbr: np.ndarray, mlp1: SharedMLP, mlp2: SharedMLP) -> T.Tensor:
     """Propagate sparse-level features to every dense point.
 
-    Per dense point: gather its k nearest sparse points, run the first MLP on
+    nbr is the (n_dense, k) table of each dense point's nearest sparse points,
+    knn_indices(dense coords, sparse coords, k); callers that propagate
+    several sparse features over the same two clouds share one table.  Per
+    dense point: gather those k sparse points, run the first MLP on
     (sparse - dense) concat sparse features, max-pool, append the dense
     point's own features, and finish with the second MLP.
     """
-    n = dense_coords.shape[0]
-    nbr = knn_indices(dense_coords.data, sparse_coords.data, k)
+    n, k = nbr.shape
     flat = nbr.reshape(n * k)
     rep = np.repeat(np.arange(n, dtype=np.int64), k)
     rel = T.sub(_gather_grouped(sparse_coords, flat, n, k),

@@ -1,7 +1,7 @@
 """Sampling and aggregation layers against independent oracles."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_diff, grad_gap
@@ -103,6 +103,53 @@ def test_knn_rejects_bad_k():
         P.knn_indices(np.zeros((2, 3)), np.zeros((4, 3)), 5)
     with pytest.raises(P.PcopsError):
         P.knn_indices(np.zeros((2, 3)), np.zeros((4, 3)), 0)
+
+
+# Integer-grid clouds are full of exact duplicates, so distance ties (at the
+# k-th place too) are the rule rather than the exception.  A KNN chunk holds
+# 65536 // n queries; the pinned examples cross chunk boundaries with k == n
+# and with the cloud queried against itself (m is then unused).
+@given(seeds, st.integers(min_value=1, max_value=80),
+       st.integers(min_value=1, max_value=1500), st.booleans(), st.booleans())
+@example(seed=1, n=60, m=1200, self_query=False, k_is_n=True)
+@example(seed=2, n=600, m=1, self_query=True, k_is_n=False)
+@example(seed=3, n=700, m=1, self_query=True, k_is_n=True)
+@settings(max_examples=30, deadline=None)
+def test_knn_matches_oracle_on_duplicate_grid(seed, n, m, self_query, k_is_n):
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+    query = ref if self_query else \
+        rng.integers(-1, 4, size=(m, 3)).astype(np.float64)
+    k = n if k_is_n else int(rng.integers(1, n + 1))
+    got = P.knn_indices(query, ref, k)
+    assert got.tolist() == knn_oracle(query, ref, k)
+
+
+@given(seeds, st.integers(min_value=1000, max_value=1200),
+       st.integers(min_value=1, max_value=160))
+@settings(max_examples=10, deadline=None)
+def test_fps_matches_oracle_with_duplicates(seed, n, m):
+    # 125 distinct points: past that many picks every distance is zero and
+    # the lowest index keeps winning, as in the oracle
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 5, size=(n, 3)).astype(np.float64)
+    start = int(rng.integers(0, n))
+    got = P.farthest_point_sample(pts, m, start)
+    assert got.tolist() == fps_oracle(pts, m, start)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((4, 2)), np.zeros(3), np.array([[0.0, 0, 0], [np.nan, 0, 0]]),
+    np.array([[0.0, 0, 0], [0, np.inf, 0]]),
+])
+def test_knn_and_fps_reject_bad_coordinates(bad):
+    good = np.zeros((4, 3))
+    with pytest.raises(P.PcopsError):
+        P.knn_indices(bad, good, 1)
+    with pytest.raises(P.PcopsError):
+        P.knn_indices(good, bad, 1)
+    with pytest.raises(P.PcopsError):
+        P.farthest_point_sample(bad, 1)
 
 
 def test_random_sample_replacement_rule():
@@ -213,12 +260,13 @@ def test_set_upconv_shapes_and_gradients():
     store = T.ParamStore()
     mlp1 = _mlp(store, "up1", 3 + 4, [6], seed=8)
     mlp2 = _mlp(store, "up2", 6 + 3, [5], seed=9)
+    nbr = P.knn_indices(dense, sparse, 3)
 
     def run(sf):
         with T.Tape() as tp:
             tsf = T.const(sf)
             out = P.set_upconv(T.const(dense), T.const(dense_f),
-                               T.const(sparse), tsf, 3, mlp1, mlp2)
+                               T.const(sparse), tsf, nbr, mlp1, mlp2)
             loss = T.reduce_sum(T.mul(out, out))
         tp.backward(loss)
         return loss, tp, tsf, out
@@ -234,9 +282,11 @@ def test_set_upconv_without_dense_features():
     store = T.ParamStore()
     mlp1 = _mlp(store, "up1", 7, [6])
     mlp2 = _mlp(store, "up2", 6, [5])
-    out = P.set_upconv(T.const(rng.normal(size=(10, 3))), None,
-                       T.const(rng.normal(size=(4, 3))),
-                       T.const(rng.normal(size=(4, 4))), 2, mlp1, mlp2)
+    dense = rng.normal(size=(10, 3))
+    sparse = rng.normal(size=(4, 3))
+    out = P.set_upconv(T.const(dense), None, T.const(sparse),
+                       T.const(rng.normal(size=(4, 4))),
+                       P.knn_indices(dense, sparse, 2), mlp1, mlp2)
     assert out.shape == (10, 5)
 
 
