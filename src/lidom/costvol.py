@@ -43,6 +43,8 @@ class CostVolume:
         in2 = 4 + 2 * out_width
         self.v1 = SharedMLP(store, f"{prefix}/v1", in1, [hidden, out_width], rng)
         self.v2 = SharedMLP(store, f"{prefix}/v2", in2, [hidden, out_width], rng)
+        self.u1: SharedMLP | None = None
+        self.u2: SharedMLP | None = None
         if mode == "attentive":
             self.u1 = SharedMLP(store, f"{prefix}/u1", in1, [hidden, out_width],
                                 rng, relu_last=False)
@@ -53,17 +55,13 @@ class CostVolume:
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,
                 u: SharedMLP | None, v: SharedMLP) -> T.Tensor:
         n, k = nbr.shape
-        flat = nbr.reshape(n * k)
-        rep = np.repeat(np.arange(n, dtype=np.int64), k)
-
-        def group(t: T.Tensor, idx: np.ndarray) -> T.Tensor:
-            return T.reshape(T.gather_rows(t, idx), (n, k, t.shape[1]))
-
-        rel = T.sub(group(ref_coords, flat), group(centers, rep))
+        ctr = np.broadcast_to(np.arange(n)[:, None], nbr.shape)
+        rel = T.sub(T.gather_rows(ref_coords, nbr),
+                    T.gather_rows(centers, ctr))
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2, keepdims=True),
                             T.const(_DIST_EPS)))
-        x = T.concat([rel, dist, group(center_f, rep), group(ref_f, flat)],
-                     axis=2)
+        x = T.concat([rel, dist, T.gather_rows(center_f, ctr),
+                      T.gather_rows(ref_f, nbr)], axis=2)
         val = v(x)
         if u is None:
             weights = T.const(np.full((n, k, 1), 1.0 / k))
@@ -77,9 +75,8 @@ class CostVolume:
             raise CostVolumeError("first cloud: features and coords disagree")
         if feats2.shape[0] != coords2.shape[0]:
             raise CostVolumeError("second cloud: features and coords disagree")
-        u1 = getattr(self, "u1", None)
-        u2 = getattr(self, "u2", None)
         nbr1 = knn_indices(coords1.data, coords2.data, self.k1)
-        pe = self._attend(coords1, feats1, coords2, feats2, nbr1, u1, self.v1)
+        pe = self._attend(coords1, feats1, coords2, feats2, nbr1, self.u1,
+                          self.v1)
         nbr2 = knn_indices(coords1.data, coords1.data, self.k2)
-        return self._attend(coords1, pe, coords1, pe, nbr2, u2, self.v2)
+        return self._attend(coords1, pe, coords1, pe, nbr2, self.u2, self.v2)

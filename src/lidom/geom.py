@@ -4,7 +4,10 @@ Quaternions are Hamilton, scalar first (w, x, y, z).  A Pose is a unit
 quaternion in canonical form (w >= 0) plus a translation; applying it maps a
 point p to rotate(q, p) + t.  The *_t functions mirror the value-mode ops on
 autodiff tensors so the network can warp points and compose pose residuals
-with gradients flowing through every term.
+with gradients flowing through every term.  They act on whole vectors: the
+Hamilton product is two matmuls against a constant table built from
+quat_mul, and R - I is a constant linear map of vec(q q^T) that encodes
+quat_to_rotmat's formula.
 """
 from __future__ import annotations
 
@@ -16,10 +19,9 @@ import numpy as np
 from . import tensor as T
 
 __all__ = [
-    "GeomError", "Quaternion", "Pose", "Transform4",
+    "GeomError", "Quaternion", "Pose",
     "quat_mul", "quat_conjugate", "quat_inverse", "quat_normalize",
-    "quat_canonicalize", "quat_angle", "rotate_point",
-    "pose_compose", "pose_inverse", "pose_to_matrix", "matrix_to_pose",
+    "quat_canonicalize", "quat_angle", "rotate_point", "pose_compose",
     "euler_to_quat", "quat_to_rotmat",
     "quat_mul_t", "quat_normalize_t", "rotate_points_t", "pose_compose_t",
 ]
@@ -28,7 +30,8 @@ _ZERO_NORM = 1e-12
 
 
 class GeomError(ValueError):
-    """Degenerate input: zero quaternion, non-rigid matrix, bad shape."""
+    """Degenerate input: zero or non-finite quaternion, non-finite
+    translation, bad shape."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ def quat_inverse(q: Quaternion) -> Quaternion:
 
 
 def quat_normalize(q: Quaternion) -> Quaternion:
+    if not np.isfinite(q.as_array()).all():
+        raise GeomError(f"cannot normalize a non-finite quaternion {q}")
     n = q.norm()
     if n < _ZERO_NORM:
         raise GeomError("cannot normalize a zero-norm quaternion")
@@ -130,13 +135,11 @@ class Pose:
         t = np.asarray(self.t, dtype=np.float64)
         if t.shape != (3,):
             raise GeomError(f"translation needs shape (3,), got {t.shape}")
+        if not np.isfinite(t).all():
+            raise GeomError(f"translation is not finite: {t}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "q",
                            quat_canonicalize(quat_normalize(self.q)))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(Quaternion.identity(), np.zeros(3))
 
 
 def rotate_point(q: Quaternion, t: np.ndarray | None, p: np.ndarray) -> np.ndarray:
@@ -152,10 +155,6 @@ def rotate_point(q: Quaternion, t: np.ndarray | None, p: np.ndarray) -> np.ndarr
     return out[0] if single else out
 
 
-def pose_apply(pose: Pose, p: np.ndarray) -> np.ndarray:
-    return rotate_point(pose.q, pose.t, p)
-
-
 def pose_compose(delta: Pose, coarse: Pose) -> Pose:
     """Refinement: q = dq * q_c, t = dq [0, t_c] dq^-1 + dt."""
     q = quat_mul(delta.q, coarse.q)
@@ -163,104 +162,42 @@ def pose_compose(delta: Pose, coarse: Pose) -> Pose:
     return Pose(q, t)
 
 
-def pose_inverse(pose: Pose) -> Pose:
-    qi = quat_conjugate(pose.q)
-    return Pose(qi, -rotate_point(qi, None, pose.t))
-
-
-def pose_to_matrix(pose: Pose) -> "Transform4":
-    m = np.eye(4)
-    m[:3, :3] = quat_to_rotmat(pose.q)
-    m[:3, 3] = pose.t
-    return Transform4(m)
-
-
-def matrix_to_pose(tf: "Transform4") -> Pose:
-    """Shepperd extraction with the max-branch rule, so 180-degree rotations
-    (trace near -1) stay well conditioned."""
-    r = tf.m[:3, :3]
-    rtr = r.T @ r
-    if np.abs(rtr - np.eye(3)).max() > 1e-6:
-        raise GeomError("rotation block is not orthonormal within 1e-6")
-    if np.linalg.det(r) < 0.0:
-        raise GeomError("rotation block is a reflection")
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    if tr > max(r[0, 0], r[1, 1], r[2, 2]):
-        s = 2.0 * math.sqrt(1.0 + tr)
-        q = Quaternion(0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                       (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s)
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = Quaternion((r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                       (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s)
-    elif r[1, 1] >= r[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        q = Quaternion((r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                       0.25 * s, (r[1, 2] + r[2, 1]) / s)
-    else:
-        s = 2.0 * math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        q = Quaternion((r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                       (r[1, 2] + r[2, 1]) / s, 0.25 * s)
-    return Pose(q, tf.m[:3, 3].copy())
-
-
-class Transform4:
-    """Homogeneous rigid transform; last row pinned to [0, 0, 0, 1]."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m, rot_tol: float = 1e-9) -> None:
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise GeomError(f"transform needs shape (4, 4), got {m.shape}")
-        if np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 1e-12:
-            raise GeomError("transform last row must be [0, 0, 0, 1]")
-        r = m[:3, :3]
-        if np.abs(r.T @ r - np.eye(3)).max() > rot_tol:
-            raise GeomError(
-                f"rotation block not orthonormal within {rot_tol:g}")
-        self.m = m
-
-    @staticmethod
-    def identity() -> "Transform4":
-        return Transform4(np.eye(4))
-
-    def compose(self, other: "Transform4") -> "Transform4":
-        return Transform4(self.m @ other.m, rot_tol=1e-6)
-
-    def inverse(self) -> "Transform4":
-        r, t = self.m[:3, :3], self.m[:3, 3]
-        out = np.eye(4)
-        out[:3, :3] = r.T
-        out[:3, 3] = -r.T @ t
-        return Transform4(out, rot_tol=1e-6)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        single = points.ndim == 1
-        pts = points.reshape(1, 3) if single else points
-        out = pts @ self.m[:3, :3].T + self.m[:3, 3]
-        return out[0] if single else out
-
-    def __repr__(self) -> str:
-        return f"Transform4({self.m[:3].round(6).tolist()})"
-
-
 # --- differentiable mirrors ---
 
-def _qc(q: T.Tensor, i: int) -> T.Tensor:
-    return T.gather_rows(q, np.array([i]))
+# (a b)_i = sum_jk a_j _HAMILTON[j, 4 i + k] b_k: quat_mul on basis pairs
+_HAMILTON = np.array([[quat_mul(Quaternion(*ej), Quaternion(*ek)).as_array()
+                       for ek in np.eye(4)] for ej in np.eye(4)]
+                     ).transpose(0, 2, 1).reshape(4, 16)
+
+# quat_to_rotmat's formula entry by entry, row-major: R = I + 2 * (these
+# signed products of w, x, y, z).  Each entry of the map's output sums two
+# terms +-2 q_a q_b, so a matmul against it rounds as the formula does.
+_ROTMAT_TERMS = ("-yy-zz", "+xy-wz", "+xz+wy",
+                 "+xy+wz", "-xx-zz", "+yz-wx",
+                 "+xz-wy", "+yz+wx", "-xx-yy")
+
+
+def _rotmat_transposed_map() -> np.ndarray:
+    """(16, 9) map from vec(q q^T) to vec(R^T - I)."""
+    m = np.zeros((4, 4, 3, 3))
+    for e, terms in enumerate(_ROTMAT_TERMS):
+        row, col = divmod(e, 3)
+        for sign, a, b in zip(terms[::3], terms[1::3], terms[2::3]):
+            m["wxyz".index(a), "wxyz".index(b), col, row] = \
+                2.0 if sign == "+" else -2.0
+    return m.reshape(16, 9)
+
+
+_ROT_T = _rotmat_transposed_map()
+_EYE_ROW = np.eye(3).reshape(1, 9)
 
 
 def quat_mul_t(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    aw, ax, ay, az = (_qc(a, i) for i in range(4))
-    bw, bx, by, bz = (_qc(b, i) for i in range(4))
-    return T.concat([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=0)
+    """Hamilton product: a times the table is the (4, 4) matrix of
+    left-multiplication by a, which then multiplies b."""
+    left = T.reshape(T.matmul(T.reshape(a, (1, 4)), T.const(_HAMILTON)),
+                     (4, 4))
+    return T.reshape(T.matmul(left, T.reshape(b, (4, 1))), (4,))
 
 
 def quat_normalize_t(q: T.Tensor, eps: float = 1e-18) -> T.Tensor:
@@ -272,31 +209,15 @@ def quat_normalize_t(q: T.Tensor, eps: float = 1e-18) -> T.Tensor:
     return q
 
 
-def _rotmat_scalars(q: T.Tensor) -> list[T.Tensor]:
-    w, x, y, z = (_qc(q, i) for i in range(4))
-    two = T.const(np.array([2.0]))
-    one = T.const(np.array([1.0]))
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    return [
-        one - two * (yy + zz), two * (xy - wz), two * (xz + wy),
-        two * (xy + wz), one - two * (xx + zz), two * (yz - wx),
-        two * (xz - wy), two * (yz + wx), one - two * (xx + yy),
-    ]
-
-
 def rotate_points_t(q: T.Tensor, t: T.Tensor | None, pts: T.Tensor,
                     normalize: bool = True) -> T.Tensor:
     """Differentiable rotate(q, pts) + t for pts of shape (n, 3)."""
     if normalize:
         q = quat_normalize_t(q)
-    e = _rotmat_scalars(q)
-    # rows of R^T, so the product pts @ rt applies R on the left
-    rt = T.reshape(T.concat([e[0], e[3], e[6],
-                             e[1], e[4], e[7],
-                             e[2], e[5], e[8]], axis=0), (3, 3))
-    out = T.matmul(pts, rt)
+    qq = T.reshape(T.mul(T.reshape(q, (4, 1)), q), (1, 16))
+    # R^T, so the product pts @ rt applies R on the left
+    rt = T.add(T.matmul(qq, T.const(_ROT_T)), T.const(_EYE_ROW))
+    out = T.matmul(pts, T.reshape(rt, (3, 3)))
     if t is not None:
         out = T.add(out, t)
     return out

@@ -8,23 +8,22 @@ ties toward the lowest index, KNN sorts by (distance, index).  KNN computes
 every squared distance but sorts only a partial selection: argpartition
 finds k candidates per query, and only rows tied at the k-th distance fall
 back to a full stable sort.  Both reject clouds that are not (n, 3) or not
-finite.
+finite, and FPS rejects a cloud with fewer distinct points than it must pick.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
-level.  Shared MLPs apply relu on every layer; the FC stacks used by pose
-heads elsewhere do not (see headmask).
+level.  Both gather their (n, k, c) groups straight from (n, k) neighbor
+and center index tables.  Shared MLPs apply relu on every layer; the FC
+stacks used by pose heads elsewhere do not (see headmask).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 
 __all__ = [
-    "PcopsError", "PointCloud", "SharedMLP", "FcStack",
+    "PcopsError", "SharedMLP", "FcStack",
     "farthest_point_sample", "knn_indices", "random_sample",
     "set_conv", "set_upconv",
 ]
@@ -36,26 +35,6 @@ _KNN_CHUNK_ELEMS = 1 << 16
 
 class PcopsError(ValueError):
     """Invalid sample sizes, neighbor counts, or cloud shapes."""
-
-
-@dataclass
-class PointCloud:
-    """Value-level cloud: coordinates (n, 3) and optional features (n, c)."""
-
-    coords: np.ndarray
-    features: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 3:
-            raise PcopsError(f"coords need shape (n, 3), got {self.coords.shape}")
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.shape[0] != self.coords.shape[0]:
-                raise PcopsError("features and coords disagree on point count")
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
 
 
 def _points(a: np.ndarray, name: str) -> np.ndarray:
@@ -86,8 +65,8 @@ def farthest_point_sample(points: np.ndarray, m: int,
 
     The first pick is start_index (0 for the deterministic mode; training
     passes a seeded draw).  Each later pick maximizes the distance to the
-    selected set, ties resolved to the lowest index.  Picks are unique
-    unless the cloud has fewer than m distinct points.
+    selected set, ties resolved to the lowest index.  Picks are distinct
+    points; a cloud with fewer than m distinct points raises PcopsError.
     """
     points = _points(points, "points")
     n = points.shape[0]
@@ -102,6 +81,9 @@ def farthest_point_sample(points: np.ndarray, m: int,
     _sq_dists(cols, points[start_index], d2, tmp)
     for i in range(1, m):
         nxt = int(np.argmax(d2))  # first max wins ties
+        if d2[nxt] == 0.0:  # the i picks so far are every distinct point
+            raise PcopsError(f"cannot sample {m} distinct points from a "
+                             f"cloud with {i} distinct points")
         sel[i] = nxt
         np.minimum(d2, _sq_dists(cols, points[nxt], nd, tmp), out=d2)
     return sel
@@ -212,12 +194,6 @@ class FcStack:
         return x
 
 
-def _gather_grouped(t: T.Tensor, flat_idx: np.ndarray, m: int,
-                    k: int) -> T.Tensor:
-    width = t.shape[1]
-    return T.reshape(T.gather_rows(t, flat_idx), (m, k, width))
-
-
 def set_conv(coords: T.Tensor, feats: T.Tensor | None,
              center_idx: np.ndarray, k: int, mlp: SharedMLP
              ) -> tuple[T.Tensor, T.Tensor]:
@@ -228,16 +204,11 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     max-pool over the neighborhood.  Returns (center coords, features).
     """
     centers = np.asarray(center_idx, dtype=np.int64)
-    m = centers.shape[0]
     nbr = knn_indices(coords.data[centers], coords.data, k)
-    flat = nbr.reshape(m * k)
-    rep = np.repeat(centers, k)
-    nbr_coords = _gather_grouped(coords, flat, m, k)
-    ctr_coords = _gather_grouped(coords, rep, m, k)
-    parts = [T.sub(nbr_coords, ctr_coords)]
+    ctr = np.broadcast_to(centers[:, None], nbr.shape)
+    parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
     if feats is not None:
-        parts.append(_gather_grouped(feats, flat, m, k))
-        parts.append(_gather_grouped(feats, rep, m, k))
+        parts += [T.gather_rows(feats, nbr), T.gather_rows(feats, ctr)]
     h = mlp(T.concat(parts, axis=2))
     pooled = T.reduce_max(h, axis=1)
     out_coords = T.gather_rows(coords, centers)
@@ -256,12 +227,10 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor | None,
     (sparse - dense) concat sparse features, max-pool, append the dense
     point's own features, and finish with the second MLP.
     """
-    n, k = nbr.shape
-    flat = nbr.reshape(n * k)
-    rep = np.repeat(np.arange(n, dtype=np.int64), k)
-    rel = T.sub(_gather_grouped(sparse_coords, flat, n, k),
-                _gather_grouped(dense_coords, rep, n, k))
-    grouped = _gather_grouped(sparse_feats, flat, n, k)
+    ctr = np.broadcast_to(np.arange(nbr.shape[0])[:, None], nbr.shape)
+    rel = T.sub(T.gather_rows(sparse_coords, nbr),
+                T.gather_rows(dense_coords, ctr))
+    grouped = T.gather_rows(sparse_feats, nbr)
     pooled = T.reduce_max(mlp1(T.concat([rel, grouped], axis=2)), axis=1)
     if dense_feats is not None:
         pooled = T.concat([pooled, dense_feats], axis=1)

@@ -2,12 +2,12 @@
 
 A Tape records every op applied while it is active; backward() replays the
 record in reverse and accumulates gradients into the leaves.  Ops called with
-no active tape run eagerly and return constant tensors, which keeps value-mode
-helpers (pose algebra on plain numbers, file parsing) on the same code paths.
+no active tape run eagerly and return constant tensors, so inference runs the
+same code as training and records nothing.
 
 The op set is exactly what the odometry network needs: broadcasting
-elementwise arithmetic, relu/exp/sqrt/abs, matmul (rank 2 or batched rank 3),
-axis softmax, sum/max reductions, concat/slice/reshape, and row gathers with
+elementwise arithmetic, relu/exp/sqrt, matmul (rank 2 or batched rank 3),
+axis softmax, sum/max reductions, concat/reshape, and row gathers with
 scatter-add gradients.  Everything is double precision end to end.
 """
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
     "const", "add", "sub", "mul", "div", "negate", "relu", "exp", "sqrt",
-    "absolute", "matmul", "softmax_axis", "reduce_sum", "reduce_max",
-    "concat", "slice_axis", "reshape", "gather_rows", "backward",
-    "save_params", "load_params",
+    "matmul", "softmax_axis", "reduce_sum", "reduce_max", "concat",
+    "reshape", "gather_rows", "save_params", "load_params",
 ]
 
 
@@ -55,25 +54,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
 
-    # operator sugar; the named functions below are the real API
-    def __add__(self, other): return add(self, _wrap(other))
-    def __radd__(self, other): return add(_wrap(other), self)
-    def __sub__(self, other): return sub(self, _wrap(other))
-    def __rsub__(self, other): return sub(_wrap(other), self)
-    def __mul__(self, other): return mul(self, _wrap(other))
-    def __rmul__(self, other): return mul(_wrap(other), self)
-    def __truediv__(self, other): return div(self, _wrap(other))
-    def __rtruediv__(self, other): return div(_wrap(other), self)
-    def __neg__(self): return negate(self)
-    def __matmul__(self, other): return matmul(self, _wrap(other))
-
 
 def const(data) -> Tensor:
     return Tensor(data)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -184,11 +167,6 @@ class Tape:
         return g if g is not None else np.zeros(t.data.shape)
 
 
-def backward(tape: Tape, root: Tensor,
-             store: "ParamStore | None" = None) -> dict[str, np.ndarray]:
-    return tape.backward(root, store)
-
-
 def _current_tape(inputs: Sequence[Tensor]) -> Tape | None:
     tape = _ACTIVE[-1] if _ACTIVE else None
     for t in inputs:
@@ -279,10 +257,6 @@ def sqrt(a: Tensor) -> Tensor:
         denom = np.where(out > 0.0, out, 1.0)
         return (np.where(out > 0.0, 0.5 * g / denom, 0.0),)
     return _make("sqrt", (a,), out, back)
-
-
-def absolute(a: Tensor) -> Tensor:
-    return _make("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
 
 
 # --- matmul ---
@@ -382,19 +356,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make("concat", parts, out, back)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    out = a.data[tuple(sl)]
-
-    def back(g):
-        ga = np.zeros_like(a.data)
-        ga[tuple(sl)] = g
-        return (ga,)
-
-    return _make("slice", (a,), out, back)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
     return _make("reshape", (a,), out,
@@ -402,10 +363,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """out[i] = a[indices[i]]; gradient scatter-adds duplicate rows."""
+    """out[i, ...] = a[indices[i, ...]] for an index array of any shape, so
+    the output has shape indices.shape + a.shape[1:] ((n, k) neighbour
+    tables gather straight to (n, k, c) groups).  The gradient scatter-adds
+    rows picked more than once."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise TensorError(f"gather_rows: indices must be 1-D, got {idx.shape}")
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise TensorError(
@@ -413,8 +375,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.data[idx]
 
     def back(g):
+        # flat index and rows keep np.add.at on its fast 1-D path
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        np.add.at(ga, idx.reshape(-1), g.reshape((idx.size,) + ga.shape[1:]))
         return (ga,)
 
     return _make("gather", (a,), out, back)

@@ -1,4 +1,4 @@
-"""Pose algebra: algebraic identities, matrix round trips, tensor-mode grads."""
+"""Pose algebra: algebraic identities, input guards, tensor-mode grads."""
 import math
 
 import numpy as np
@@ -18,8 +18,8 @@ def random_quat(rng) -> G.Quaternion:
     return G.quat_normalize(G.Quaternion(*v))
 
 
-def random_pose(rng, t_scale=1.0) -> G.Pose:
-    return G.Pose(random_quat(rng), rng.normal(size=3) * t_scale)
+def random_pose(rng) -> G.Pose:
+    return G.Pose(random_quat(rng), rng.normal(size=3))
 
 
 def test_mul_identity():
@@ -100,65 +100,20 @@ def test_compose_matches_matrix_product(seed):
     rng = np.random.default_rng(seed)
     delta, coarse = random_pose(rng), random_pose(rng)
     composed = G.pose_compose(delta, coarse)
-    expect = G.pose_to_matrix(delta).compose(G.pose_to_matrix(coarse))
-    assert np.allclose(G.pose_to_matrix(composed).m, expect.m, atol=1e-12)
+    r_d, r_c = G.quat_to_rotmat(delta.q), G.quat_to_rotmat(coarse.q)
+    assert np.allclose(G.quat_to_rotmat(composed.q), r_d @ r_c, atol=1e-12)
+    assert np.allclose(composed.t, r_d @ coarse.t + delta.t, atol=1e-12)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
-def test_inverse_composes_to_identity(seed):
-    rng = np.random.default_rng(seed)
-    pose = random_pose(rng)
-    ident = G.pose_compose(G.pose_inverse(pose), pose)
-    assert abs(G.quat_angle(ident.q, G.Quaternion.identity())) < 1e-9
-    assert np.abs(ident.t).max() < 1e-9
-
-
-def test_matrix_round_trip_many():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        pose = random_pose(rng, t_scale=5.0)
-        back = G.matrix_to_pose(G.pose_to_matrix(pose))
-        assert np.abs(back.q.as_array() - pose.q.as_array()).max() < 1e-9
-        assert np.abs(back.t - pose.t).max() < 1e-9
-
-
-def test_matrix_round_trip_half_turns():
-    for axis in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
-                 [0.6, 0.8, 0.0], [0.0, -0.6, 0.8]):
-        q = G.quat_normalize(G.Quaternion(0.0, *axis))
-        pose = G.Pose(q, np.array([1.0, -2.0, 3.0]))
-        back = G.matrix_to_pose(G.pose_to_matrix(pose))
-        assert np.abs(back.q.as_array() - pose.q.as_array()).max() < 1e-9
-        assert np.abs(back.t - pose.t).max() < 1e-9
-
-
-def test_matrix_to_pose_rejects_non_orthonormal():
-    m = np.eye(4)
-    m[0, 0] = 1.01
-    with pytest.raises(G.GeomError, match="orthonormal"):
-        G.matrix_to_pose(G.Transform4(m, rot_tol=0.1))
-
-
-def test_matrix_to_pose_rejects_reflection():
-    m = np.eye(4)
-    m[0, 0] = -1.0
-    with pytest.raises(G.GeomError, match="reflection"):
-        G.matrix_to_pose(G.Transform4(m))
-
-
-def test_transform_rejects_bad_last_row():
-    m = np.eye(4)
-    m[3, 0] = 0.5
-    with pytest.raises(G.GeomError, match="last row"):
-        G.Transform4(m)
-
-
-def test_transform_inverse():
-    rng = np.random.default_rng(11)
-    tf = G.pose_to_matrix(random_pose(rng))
-    ident = tf.compose(tf.inverse())
-    assert np.allclose(ident.m, np.eye(4), atol=1e-12)
+@pytest.mark.parametrize("q, t", [
+    ((np.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1.0, 0.0, np.inf, 0.0), (0.0, 0.0, 0.0)),
+    ((1.0, 0.0, 0.0, 0.0), (0.0, np.nan, 0.0)),
+    ((1.0, 0.0, 0.0, 0.0), (-np.inf, 0.0, 0.0)),
+])
+def test_pose_rejects_non_finite(q, t):
+    with pytest.raises(G.GeomError, match="finite"):
+        G.Pose(G.Quaternion(*q), np.array(t))
 
 
 def test_euler_zero_is_identity():

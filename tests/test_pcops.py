@@ -127,15 +127,22 @@ def test_knn_matches_oracle_on_duplicate_grid(seed, n, m, self_query, k_is_n):
 
 @given(seeds, st.integers(min_value=1000, max_value=1200),
        st.integers(min_value=1, max_value=160))
+@example(seed=0, n=1000, m=125)
+@example(seed=0, n=1000, m=126)
 @settings(max_examples=10, deadline=None)
 def test_fps_matches_oracle_with_duplicates(seed, n, m):
-    # 125 distinct points: past that many picks every distance is zero and
-    # the lowest index keeps winning, as in the oracle
+    # at most 125 distinct points: asking for more picks than that is an
+    # error, since every remaining distance is zero
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 5, size=(n, 3)).astype(np.float64)
     start = int(rng.integers(0, n))
-    got = P.farthest_point_sample(pts, m, start)
-    assert got.tolist() == fps_oracle(pts, m, start)
+    distinct = len(np.unique(pts, axis=0))
+    if m > distinct:
+        with pytest.raises(P.PcopsError, match=f"{distinct} distinct"):
+            P.farthest_point_sample(pts, m, start)
+    else:
+        got = P.farthest_point_sample(pts, m, start)
+        assert got.tolist() == fps_oracle(pts, m, start)
 
 
 @pytest.mark.parametrize("bad", [
@@ -166,13 +173,6 @@ def test_random_sample_seeded_deterministic():
     a = P.random_sample(50, 20, np.random.default_rng(42))
     b = P.random_sample(50, 20, np.random.default_rng(42))
     assert np.array_equal(a, b)
-
-
-def test_point_cloud_validates_shapes():
-    with pytest.raises(P.PcopsError):
-        P.PointCloud(np.zeros((4, 2)))
-    with pytest.raises(P.PcopsError):
-        P.PointCloud(np.zeros((4, 3)), np.zeros((3, 5)))
 
 
 # --- aggregation layers ---
