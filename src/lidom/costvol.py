@@ -29,27 +29,26 @@ class CostVolumeError(ValueError):
 
 
 class CostVolume:
-    """Parameter block and forward pass; out_width channels per point."""
+    """Parameter block and forward pass.  Input features, hidden layers and
+    output embeddings all have `width` channels, so both stages' MLPs read
+    4 + 2 * width inputs."""
 
-    def __init__(self, store: T.ParamStore, prefix: str, feat_width: int,
-                 out_width: int, k1: int, k2: int, hidden: int,
-                 rng: np.random.Generator, mode: str = "attentive") -> None:
+    def __init__(self, store: T.ParamStore, prefix: str, width: int,
+                 k1: int, k2: int, rng: np.random.Generator,
+                 mode: str = "attentive") -> None:
         if mode not in ("attentive", "uniform"):
             raise CostVolumeError(f"unknown cost-volume mode {mode!r}")
         self.k1, self.k2 = k1, k2
-        self.mode = mode
-        self.out_width = out_width
-        in1 = 4 + 2 * feat_width
-        in2 = 4 + 2 * out_width
-        self.v1 = SharedMLP(store, f"{prefix}/v1", in1, [hidden, out_width], rng)
-        self.v2 = SharedMLP(store, f"{prefix}/v2", in2, [hidden, out_width], rng)
+        in_w, widths = 4 + 2 * width, [width, width]
+        self.v1 = SharedMLP(store, f"{prefix}/v1", in_w, widths, rng)
+        self.v2 = SharedMLP(store, f"{prefix}/v2", in_w, widths, rng)
         self.u1: SharedMLP | None = None
         self.u2: SharedMLP | None = None
         if mode == "attentive":
-            self.u1 = SharedMLP(store, f"{prefix}/u1", in1, [hidden, out_width],
-                                rng, relu_last=False)
-            self.u2 = SharedMLP(store, f"{prefix}/u2", in2, [hidden, out_width],
-                                rng, relu_last=False)
+            self.u1 = SharedMLP(store, f"{prefix}/u1", in_w, widths, rng,
+                                relu_last=False)
+            self.u2 = SharedMLP(store, f"{prefix}/u2", in_w, widths, rng,
+                                relu_last=False)
 
     def _attend(self, centers: T.Tensor, center_f: T.Tensor,
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,

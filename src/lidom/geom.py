@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _ZERO_NORM = 1e-12
+# added to |q|^2 before the square root in quat_normalize_t
+_NORM_EPS = 1e-18
 
 
 class GeomError(ValueError):
@@ -200,20 +202,18 @@ def quat_mul_t(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T.reshape(T.matmul(left, T.reshape(b, (4, 1))), (4,))
 
 
-def quat_normalize_t(q: T.Tensor, eps: float = 1e-18) -> T.Tensor:
+def quat_normalize_t(q: T.Tensor) -> T.Tensor:
     """Two stabilized passes: unit to machine precision for any sensible
     input magnitude, finite gradient even at the origin."""
     for _ in range(2):
         n2 = T.reduce_sum(T.mul(q, q))
-        q = T.div(q, T.sqrt(T.add(n2, T.const(eps))))
+        q = T.div(q, T.sqrt(T.add(n2, T.const(_NORM_EPS))))
     return q
 
 
-def rotate_points_t(q: T.Tensor, t: T.Tensor | None, pts: T.Tensor,
-                    normalize: bool = True) -> T.Tensor:
-    """Differentiable rotate(q, pts) + t for pts of shape (n, 3)."""
-    if normalize:
-        q = quat_normalize_t(q)
+def rotate_points_t(q: T.Tensor, t: T.Tensor | None, pts: T.Tensor) -> T.Tensor:
+    """Differentiable rotate(normalize(q), pts) + t for pts of shape (n, 3)."""
+    q = quat_normalize_t(q)
     qq = T.reshape(T.mul(T.reshape(q, (4, 1)), q), (1, 16))
     # R^T, so the product pts @ rt applies R on the left
     rt = T.add(T.matmul(qq, T.const(_ROT_T)), T.const(_EYE_ROW))
@@ -227,6 +227,6 @@ def pose_compose_t(dq: T.Tensor, dt: T.Tensor, q: T.Tensor,
                    t: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Tensor-mode refinement step; both inputs assumed unit quaternions."""
     q_out = quat_normalize_t(quat_mul_t(dq, q))
-    t_rot = rotate_points_t(dq, None, T.reshape(t, (1, 3)), normalize=True)
+    t_rot = rotate_points_t(dq, None, T.reshape(t, (1, 3)))
     t_out = T.add(T.reshape(t_rot, (3,)), dt)
     return q_out, t_out

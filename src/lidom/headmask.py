@@ -80,14 +80,14 @@ def warp_refine(blk: RefineBlock, coords1: T.Tensor, feats1: T.Tensor,
 
     A missing mask_mlp means masked pooling is disabled (mean pooling); a
     missing up_m1/up_m2 pair means the mask is re-estimated from scratch at
-    this level instead of being conditioned on the coarser one.  use_warp
-    False skips the rigid warp but keeps the residual composition.
+    this level and sparse_mask, the coarser level's mask, is not read.
+    use_warp False skips the rigid warp but keeps the residual composition.
     """
     up_nbr = knn_indices(coords1.data, sparse_coords.data, up_k)
     ce = set_upconv(coords1, feats1, sparse_coords, sparse_embedding,
                     up_nbr, blk.up_e1, blk.up_e2)
     cm = None
-    if blk.up_m1 is not None and sparse_mask is not None:
+    if blk.up_m1 is not None:
         cm = set_upconv(coords1, feats1, sparse_coords, sparse_mask,
                         up_nbr, blk.up_m1, blk.up_m2)
     warped = coords1

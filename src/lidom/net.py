@@ -11,23 +11,23 @@ coarse to fine.
 
 Config flags expose the published ablations: uniform (non-attentive) cost
 volume, no mask, per-level mask without coarse-to-fine conditioning, no warp,
-and no refinement at all (single pose).
+no refinement at all (single pose), and the first embedding at the coarsest
+level instead of the penultimate one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .costvol import CostVolume
-from .geom import Pose, Quaternion, quat_canonicalize
 from .headmask import RefineBlock, make_mask, pose_head, warp_refine
-from .pcops import FcStack, SharedMLP, farthest_point_sample, random_sample, set_conv
+from .pcops import (FcStack, PcopsError, SharedMLP, farthest_point_sample,
+                    random_sample, set_conv)
 
 __all__ = ["NetConfig", "NetError", "OdometryNet", "NetOutput", "LevelOutput",
-           "desk_config", "full_config", "parse_config_text", "read_config_file"]
+           "desk_config", "full_config"]
 
 
 class NetError(ValueError):
@@ -36,7 +36,8 @@ class NetError(ValueError):
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture knobs; every field is addressable from a config file."""
+    """Architecture sizes, ablation flags and the init seed.  desk_config and
+    full_config are the two presets; OdometryNet validates what it is given."""
 
     n_input: int = 8192
     n1: int = 2048
@@ -104,49 +105,6 @@ def full_config(**overrides) -> NetConfig:
     return replace(NetConfig(), **overrides)
 
 
-def _coerce(name: str, kind: type, raw: str):
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise NetError(f"config key {name}: expected a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise NetError(
-            f"config key {name}: expected {kind.__name__}, got {raw!r}") from None
-
-
-def parse_config_text(text: str, base: NetConfig | None = None) -> NetConfig:
-    """Line-oriented `key = value` overrides; unknown keys are rejected."""
-    base = base if base is not None else NetConfig()
-    types = {f.name: f.type for f in fields(NetConfig)}
-    pytypes = {"int": int, "float": float, "str": str, "bool": bool}
-    overrides = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise NetError(f"config line {lineno}: expected key = value")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in types:
-            raise NetError(f"config line {lineno}: unknown key {key!r}")
-        kind = types[key]
-        kind = pytypes[kind] if isinstance(kind, str) else kind
-        overrides[key] = _coerce(key, kind, raw)
-    cfg = replace(base, **overrides)
-    cfg.validate()
-    return cfg
-
-
-def read_config_file(path: str | Path, base: NetConfig | None = None) -> NetConfig:
-    return parse_config_text(Path(path).read_text(), base)
-
-
 @dataclass
 class LevelOutput:
     """One pyramid level's pose estimate and its supporting tensors."""
@@ -158,22 +116,12 @@ class LevelOutput:
     embedding: T.Tensor
     mask: T.Tensor | None
 
-    def pose(self) -> Pose:
-        return Pose(quat_canonicalize(Quaternion.from_array(self.q.data)),
-                    self.t.data.copy())
-
 
 @dataclass
 class NetOutput:
-    """Levels ordered coarse to fine; poses() mirrors that order."""
+    """Levels ordered coarse to fine."""
 
     levels: list[LevelOutput]
-
-    def poses(self) -> list[Pose]:
-        return [lv.pose() for lv in self.levels]
-
-    def finest(self) -> LevelOutput:
-        return self.levels[-1]
 
 
 class _Pyramid:
@@ -203,9 +151,8 @@ class OdometryNet:
 
         cv_level = 3 if cfg.first_embedding == "penultimate" else 4
         c_cv = lv[cv_level - 1][1]
-        self.cv_init = CostVolume(self.store, "init/cv", c_cv, c_cv,
-                                  cfg.cv_k1, cfg.cv_k2, c_cv, rng,
-                                  cfg.cost_volume_mode)
+        self.cv_init = CostVolume(self.store, "init/cv", c_cv, cfg.cv_k1,
+                                  cfg.cv_k2, rng, cfg.cost_volume_mode)
         self.carry: SharedMLP | None = None
         if cfg.first_embedding == "penultimate":
             c3, c4 = lv[2][1], lv[3][1]
@@ -236,8 +183,8 @@ class OdometryNet:
                                     3 + c_sparse, [c, c], rng),
                     up_e2=SharedMLP(self.store, f"{pre}/up_e/mlp2",
                                     2 * c, [c], rng),
-                    cost_volume=CostVolume(self.store, f"{pre}/cv", c, c,
-                                           cfg.cv_k1, cfg.cv_k2, c, rng,
+                    cost_volume=CostVolume(self.store, f"{pre}/cv", c,
+                                           cfg.cv_k1, cfg.cv_k2, rng,
                                            cfg.cost_volume_mode),
                     refine_mlp=SharedMLP(self.store, f"{pre}/emb",
                                          3 * c, [c, c], rng),
@@ -257,17 +204,15 @@ class OdometryNet:
                            if with_prior else None),
                 )
 
-    def count_parameters(self) -> int:
-        return self.store.count_values()
-
-    def _run_pyramid(self, pts: np.ndarray, rng: np.random.Generator,
-                     fps_random: bool) -> _Pyramid:
+    def _run_pyramid(self, name: str, pts: np.ndarray) -> _Pyramid:
         out = _Pyramid()
         coords = T.const(pts)
         feats: T.Tensor | None = None
         for i, (n, _) in enumerate(self.cfg.levels()):
-            start = int(rng.integers(coords.shape[0])) if fps_random else 0
-            centers = farthest_point_sample(coords.data, n, start)
+            try:
+                centers = farthest_point_sample(coords.data, n)
+            except PcopsError as e:  # too few distinct points in the scan
+                raise NetError(f"{name}: {e}") from e
             coords, feats = set_conv(coords, feats, centers,
                                      self.cfg.knn_k, self.pyramid[i])
             out.coords.append(coords)
@@ -275,9 +220,7 @@ class OdometryNet:
             out.center_idx.append(centers)
         return out
 
-    def forward(self, pc1: np.ndarray, pc2: np.ndarray,
-                rng: np.random.Generator | None = None,
-                fps_random: bool = False) -> NetOutput:
+    def forward(self, pc1: np.ndarray, pc2: np.ndarray) -> NetOutput:
         pc1 = np.asarray(pc1, dtype=np.float64)
         pc2 = np.asarray(pc2, dtype=np.float64)
         for name, pc in (("pc1", pc1), ("pc2", pc2)):
@@ -285,14 +228,13 @@ class OdometryNet:
                 raise NetError(f"{name}: expected nonempty (n, 3) points")
             if not np.isfinite(pc).all():
                 raise NetError(f"{name}: non-finite coordinates")
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         cfg = self.cfg
         sub1 = pc1[random_sample(pc1.shape[0], cfg.n_input, rng)]
         sub2 = pc2[random_sample(pc2.shape[0], cfg.n_input, rng)]
 
-        p1 = self._run_pyramid(sub1, rng, fps_random)
-        p2 = self._run_pyramid(sub2, rng, fps_random)
+        p1 = self._run_pyramid("pc1", sub1)
+        p2 = self._run_pyramid("pc2", sub2)
 
         if cfg.first_embedding == "penultimate":
             e3 = self.cv_init(p1.coords[2], p1.feats[2],
@@ -317,9 +259,8 @@ class OdometryNet:
                 q, t, emb, mask = warp_refine(
                     blk, p1.coords[idx], p1.feats[idx],
                     p2.coords[idx], p2.feats[idx],
-                    p1.coords[idx + 1], emb,
-                    mask if blk.up_m1 is not None else None,
-                    q, t, cfg.up_k, use_warp=cfg.use_warp)
+                    p1.coords[idx + 1], emb, mask, q, t, cfg.up_k,
+                    use_warp=cfg.use_warp)
                 levels.append(LevelOutput(level, p1.coords[idx].data,
                                           q, t, emb, mask))
         return NetOutput(levels)

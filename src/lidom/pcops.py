@@ -59,26 +59,22 @@ def _sq_dists(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def farthest_point_sample(points: np.ndarray, m: int,
-                          start_index: int = 0) -> np.ndarray:
+def farthest_point_sample(points: np.ndarray, m: int) -> np.ndarray:
     """Greedy max-min sampling; returns m indices.
 
-    The first pick is start_index (0 for the deterministic mode; training
-    passes a seeded draw).  Each later pick maximizes the distance to the
-    selected set, ties resolved to the lowest index.  Picks are distinct
+    The first pick is point 0.  Each later pick maximizes the distance to
+    the selected set, ties resolved to the lowest index.  Picks are distinct
     points; a cloud with fewer than m distinct points raises PcopsError.
     """
     points = _points(points, "points")
     n = points.shape[0]
     if m < 1 or m > n:
         raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
-    if not 0 <= start_index < n:
-        raise PcopsError(f"start index {start_index} out of range for {n}")
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
     d2, nd, tmp = np.empty(n), np.empty(n), np.empty(n)
     sel = np.empty(m, dtype=np.int64)
-    sel[0] = start_index
-    _sq_dists(cols, points[start_index], d2, tmp)
+    sel[0] = 0
+    _sq_dists(cols, points[0], d2, tmp)
     for i in range(1, m):
         nxt = int(np.argmax(d2))  # first max wins ties
         if d2[nxt] == 0.0:  # the i picks so far are every distinct point
@@ -157,7 +153,6 @@ class SharedMLP:
             bias = store.create(f"{prefix}/{i}/b", np.zeros(w))
             self.layers.append((weight, bias))
             fan_in = w
-        self.out_width = fan_in
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         last = len(self.layers) - 1
@@ -186,7 +181,6 @@ class FcStack:
             bias = store.create(f"{prefix}/{i}/b", init_b)
             self.layers.append((weight, bias))
             fan_in = w
-        self.out_width = fan_in
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         for weight, bias in self.layers:

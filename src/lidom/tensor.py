@@ -6,9 +6,10 @@ no active tape run eagerly and return constant tensors, so inference runs the
 same code as training and records nothing.
 
 The op set is exactly what the odometry network needs: broadcasting
-elementwise arithmetic, relu/exp/sqrt, matmul (rank 2 or batched rank 3),
-axis softmax, sum/max reductions, concat/reshape, and row gathers with
-scatter-add gradients.  Everything is double precision end to end.
+elementwise arithmetic, relu/sqrt, matmul of a rank 2 or 3 array by a rank-2
+matrix, axis softmax, sum and per-axis max reductions, concat/reshape, and
+row gathers with scatter-add gradients.  Everything is double precision end
+to end.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
-    "const", "add", "sub", "mul", "div", "negate", "relu", "exp", "sqrt",
+    "const", "add", "sub", "mul", "div", "relu", "sqrt",
     "matmul", "softmax_axis", "reduce_sum", "reduce_max", "concat",
     "reshape", "gather_rows", "save_params", "load_params",
 ]
@@ -43,10 +44,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -236,18 +233,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
-def negate(a: Tensor) -> Tensor:
-    return _make("negate", (a,), -a.data, lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _make("relu", (a,), a.data * mask, lambda g: (g * mask,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make("exp", (a,), out, lambda g: (g * out,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -262,22 +250,20 @@ def sqrt(a: Tensor) -> Tensor:
 # --- matmul ---
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n) for a of rank 2 or 3 and a rank-2 b (a weight or a
+    constant map), so b's gradient is one GEMM over a's flattened rows."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
-        raise TensorError(
-            f"matmul: ranks must be 2 or 3, got {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
+        raise TensorError(f"matmul: needs ranks 2 or 3 by 2, "
+                          f"got {ad.shape} and {bd.shape}")
+    k, n = bd.shape
+    if ad.shape[-1] != k:
         raise TensorError(
             f"matmul: inner dimensions differ, {ad.shape} vs {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise TensorError(
-            f"matmul: batch dimensions differ, {ad.shape} vs {bd.shape}")
     out = np.matmul(ad, bd)
 
     def back(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
+        return (np.matmul(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make("matmul", (a, b), out, back)
 
@@ -309,27 +295,14 @@ def reduce_sum(a: Tensor, axis: int | None = None,
     return _make("sum", (a,), out, back)
 
 
-def reduce_max(a: Tensor, axis: int | None = None,
-               keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient flows to the first (lowest-index) argmax."""
-    if axis is None:
-        out = a.data.max()
-        flat_idx = int(a.data.argmax())
-
-        def back_all(g):
-            ga = np.zeros_like(a.data)
-            ga.flat[flat_idx] = float(g)
-            return (ga,)
-
-        return _make("max", (a,), out, back_all)
-
-    out = a.data.max(axis=axis, keepdims=keepdims)
+def reduce_max(a: Tensor, axis: int) -> Tensor:
+    """Max over one axis; gradient flows to the first (lowest-index) argmax."""
+    out = a.data.max(axis=axis)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # first index on ties
 
     def back(g):
-        ge = g if keepdims else np.expand_dims(g, axis)
         ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, arg, ge, axis)
+        np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis)
         return (ga,)
 
     return _make("max", (a,), out, back)
@@ -435,9 +408,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.values())
 
@@ -446,9 +416,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def count_values(self) -> int:
-        return sum(p.value.size for p in self._params.values())
 
 
 _CKPT_MAGIC = b"tensorstate 1"

@@ -13,9 +13,9 @@ def _clouds(seed=0, n1=14, n2=18, c=5):
             rng.normal(size=(n2, 3)), rng.normal(size=(n2, c)))
 
 
-def _cv(mode="attentive", seed=0, c=5, out=6, k1=4, k2=3):
+def _cv(mode="attentive", seed=0, c=5, k1=4, k2=3):
     store = T.ParamStore()
-    cv = C.CostVolume(store, "cv", c, out, k1, k2, hidden=7,
+    cv = C.CostVolume(store, "cv", c, k1, k2,
                       rng=np.random.default_rng(seed), mode=mode)
     return store, cv
 
@@ -25,7 +25,7 @@ def test_output_shape_and_determinism():
     _, cv = _cv()
     a = cv(T.const(p1), T.const(f1), T.const(p2), T.const(f2))
     b = cv(T.const(p1), T.const(f1), T.const(p2), T.const(f2))
-    assert a.shape == (14, 6)
+    assert a.shape == (14, 5)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -60,7 +60,7 @@ def test_uniform_mode_has_no_attention_parameters():
 
 def test_gradients_reach_all_four_mlp_blocks():
     p1, f1, p2, f2 = _clouds(seed=5, n1=8, n2=9, c=3)
-    store, cv = _cv(c=3, out=4, k1=3, k2=2)
+    store, cv = _cv(c=3, k1=3, k2=2)
 
     def run():
         with T.Tape() as tp:
@@ -92,7 +92,7 @@ def test_gradients_reach_all_four_mlp_blocks():
 def test_gradient_through_first_cloud_coordinates():
     # the warp path differentiates through coords1, so this must be exact
     p1, f1, p2, f2 = _clouds(seed=6, n1=7, n2=8, c=3)
-    _, cv = _cv(c=3, out=4, k1=3, k2=2, seed=9)
+    _, cv = _cv(c=3, k1=3, k2=2, seed=9)
 
     def run(coords):
         with T.Tape() as tp:

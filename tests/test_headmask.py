@@ -132,7 +132,7 @@ def _refine_setup(seed=0, n=10, m=4, c=3, with_mask=True, with_prior=True):
     blk = H.RefineBlock(
         up_e1=P.SharedMLP(store, "up_e1", 3 + c, [c, c], prng),
         up_e2=P.SharedMLP(store, "up_e2", 2 * c, [c], prng),
-        cost_volume=C.CostVolume(store, "cv", c, c, 3, 2, c, prng),
+        cost_volume=C.CostVolume(store, "cv", c, 3, 2, prng),
         refine_mlp=P.SharedMLP(store, "refine", 3 * c, [c, c], prng),
         fc_q=P.FcStack(store, "fc_q", c, [6, 4], prng,
                        out_bias=np.array([1.0, 0.0, 0.0, 0.0])),

@@ -13,10 +13,10 @@ seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
 
 # --- oracles: straight-line reimplementations kept intentionally naive ---
 
-def fps_oracle(points, m, start=0):
+def fps_oracle(points, m):
     points = np.asarray(points, dtype=np.float64)
-    chosen = [start]
-    d2 = ((points - points[start]) ** 2).sum(axis=1)
+    chosen = [0]
+    d2 = ((points - points[0]) ** 2).sum(axis=1)
     for _ in range(m - 1):
         best = 0
         for j in range(1, len(points)):
@@ -60,9 +60,8 @@ def test_fps_matches_oracle(seed, n):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     m = int(rng.integers(1, n + 1))
-    start = int(rng.integers(0, n))
-    got = P.farthest_point_sample(pts, m, start)
-    assert got.tolist() == fps_oracle(pts, m, start)
+    got = P.farthest_point_sample(pts, m)
+    assert got.tolist() == fps_oracle(pts, m)
     assert len(set(got.tolist())) == m
 
 
@@ -135,14 +134,13 @@ def test_fps_matches_oracle_with_duplicates(seed, n, m):
     # error, since every remaining distance is zero
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 5, size=(n, 3)).astype(np.float64)
-    start = int(rng.integers(0, n))
     distinct = len(np.unique(pts, axis=0))
     if m > distinct:
         with pytest.raises(P.PcopsError, match=f"{distinct} distinct"):
-            P.farthest_point_sample(pts, m, start)
+            P.farthest_point_sample(pts, m)
     else:
-        got = P.farthest_point_sample(pts, m, start)
-        assert got.tolist() == fps_oracle(pts, m, start)
+        got = P.farthest_point_sample(pts, m)
+        assert got.tolist() == fps_oracle(pts, m)
 
 
 @pytest.mark.parametrize("bad", [
