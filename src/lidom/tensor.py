@@ -5,6 +5,10 @@ record in reverse and accumulates gradients into the leaves.  Ops called with
 no active tape run eagerly and return constant tensors, so inference runs the
 same code as training and records nothing.
 
+A tape holds only what its backward reads (op closures keep arrays and
+shapes, never a Tensor; backward keeps leaf gradients only) and parameters
+never point at it, so reference counting frees it once its caller lets go.
+
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, relu/sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, axis softmax, sum and per-axis max reductions, concat/reshape, and
@@ -74,14 +78,15 @@ class Tape:
     """Ordered op record.  Single writer; enter to record, backward() later.
 
     Leaving the context stops recording but keeps the node structure, so
-    backward() and grad() work after exit.  Tensors tagged by a finished tape
-    may be re-tagged by the next tape (parameters are reused this way).
+    backward() and grad() work after exit.  Parameter leaves are keyed by
+    name on the tape; other tensors are tagged with their tape and node id.
+    backward() drops each interior gradient once it has propagated it.
     """
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
         self._grads: list[np.ndarray | None] | None = None
-        self._param_leaves: dict[str, int] = {}
+        self._param_leaves: dict[str, tuple[Tensor, int]] = {}
         self.live = False
 
     def __enter__(self) -> "Tape":
@@ -95,17 +100,29 @@ class Tape:
         self.live = False
         _ACTIVE.pop()
 
+    def _nid(self, t: Tensor) -> int | None:
+        """t's node on this tape, or None if the tape has not seen it."""
+        if t.param_name is None:
+            return t.nid if t.tape is self else None
+        leaf = self._param_leaves.get(t.param_name)
+        if leaf is not None and leaf[0] is not t:
+            raise TensorError(
+                f"two parameters named {t.param_name!r} on one tape")
+        return None if leaf is None else leaf[1]
+
     def _ensure_node(self, t: Tensor) -> int:
-        if t.tape is self:
-            return t.nid  # type: ignore[return-value]
+        nid = self._nid(t)
+        if nid is not None:
+            return nid
         if t.tape is not None and t.tape.live:
             raise TensorError("tensor belongs to another live tape")
         nid = len(self.nodes)
         self.nodes.append(_Node("leaf", (), None, t.data.shape))
-        t.tape = self
-        t.nid = nid
-        if t.param_name is not None:
-            self._param_leaves[t.param_name] = nid
+        if t.param_name is None:
+            t.tape = self
+            t.nid = nid
+        else:
+            self._param_leaves[t.param_name] = (t, nid)
         return nid
 
     def _record(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
@@ -123,18 +140,20 @@ class Tape:
         parameter in `store` (zeros for parameters the graph never touched);
         without a store it covers just the parameters the tape saw.
         """
-        if root.tape is not self or root.nid is None:
+        rid = self._nid(root)
+        if rid is None:
             raise TensorError("backward root is not on this tape")
         if root.data.size != 1:
             raise TensorError(
                 f"backward root must be scalar, got shape {root.data.shape}")
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
-        grads[root.nid] = np.ones(self.nodes[root.nid].shape, dtype=np.float64)
-        for nid in range(root.nid, -1, -1):
+        grads[rid] = np.ones(self.nodes[rid].shape, dtype=np.float64)
+        for nid in range(rid, -1, -1):
             node = self.nodes[nid]
             g = grads[nid]
             if g is None or node.backward_fn is None:
                 continue
+            grads[nid] = None   # interior: spent once propagated
             parent_grads = node.backward_fn(g)
             for pid, pg in zip(node.parents, parent_grads):
                 if pg is None:
@@ -145,9 +164,10 @@ class Tape:
                     grads[pid] = grads[pid] + pg
         self._grads = grads
         out: dict[str, np.ndarray] = {}
-        for name, nid in self._param_leaves.items():
-            g = grads[nid]
-            out[name] = g if g is not None else np.zeros(self.nodes[nid].shape)
+        for name, (_, nid) in self._param_leaves.items():
+            if grads[nid] is None:
+                grads[nid] = np.zeros(self.nodes[nid].shape)
+            out[name] = grads[nid]
         if store is not None:
             for p in store:
                 if p.trainable and p.name not in out:
@@ -155,12 +175,16 @@ class Tape:
         return out
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward() root with respect to t."""
+        """Gradient of the last backward() root with respect to leaf t."""
         if self._grads is None:
             raise TensorError("backward has not run on this tape")
-        if t.tape is not self or t.nid is None:
+        nid = self._nid(t)
+        if nid is None:
             raise TensorError("tensor is not on this tape")
-        g = self._grads[t.nid]
+        if self.nodes[nid].kind != "leaf":
+            raise TensorError("backward keeps leaf gradients only; "
+                              "this tensor is an interior node")
+        g = self._grads[nid]
         return g if g is not None else np.zeros(t.data.shape)
 
 
@@ -206,31 +230,34 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
     return _make("add", (a, b), out, lambda g: (
-        _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+        _unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
     return _make("sub", (a, b), out, lambda g: (
-        _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+        _unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
     return _make("mul", (a, b), out, lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape)))
+        _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
-    out = a.data / b.data
+    ad, bd = a.data, b.data
+    out = ad / bd
     return _make("div", (a, b), out, lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+        _unbroadcast(g / bd, ad.shape),
+        _unbroadcast(-g * ad / (bd * bd), bd.shape)))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -285,12 +312,11 @@ def softmax_axis(a: Tensor, axis: int) -> Tensor:
 def reduce_sum(a: Tensor, axis: int | None = None,
                keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, a.data.shape).copy(),)
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(ge, shape).copy(),)
 
     return _make("sum", (a,), out, back)
 
@@ -299,9 +325,10 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; gradient flows to the first (lowest-index) argmax."""
     out = a.data.max(axis=axis)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # first index on ties
+    shape = a.data.shape
 
     def back(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis)
         return (ga,)
 
@@ -315,12 +342,11 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise TensorError("concat: need at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def back(g):
         gs = []
-        for i in range(len(parts)):
+        for i in range(len(offsets) - 1):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             gs.append(g[tuple(sl)])
@@ -331,8 +357,8 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
-    return _make("reshape", (a,), out,
-                 lambda g: (g.reshape(a.data.shape),))
+    in_shape = a.data.shape
+    return _make("reshape", (a,), out, lambda g: (g.reshape(in_shape),))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -346,10 +372,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise TensorError(
             f"gather_rows: index out of range for first dimension {n}")
     out = a.data[idx]
+    shape = a.data.shape
 
     def back(g):
         # flat index and rows keep np.add.at on its fast 1-D path
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.add.at(ga, idx.reshape(-1), g.reshape((idx.size,) + ga.shape[1:]))
         return (ga,)
 

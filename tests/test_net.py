@@ -1,7 +1,13 @@
-"""Whole-network input guards, config validation and the paper's ablations."""
+"""Whole-network input guards, config validation, the paper's ablations,
+the tape's lifetime and a whole-network gradient check."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from conftest import grad_gap
+from lidom import tensor as T
 from lidom.net import NetError, OdometryNet, desk_config
 
 
@@ -13,6 +19,28 @@ def _scans(seed=0, n=600):
 def _poses(out):
     return np.array([np.concatenate([lv.q.data, lv.t.data])
                      for lv in out.levels])
+
+
+def _pose_loss(out):
+    """Weighted squared pose error per level, coarse to fine, against a
+    fixed motion."""
+    q_gt = T.const(np.array([0.999, 0.0, 0.0447, 0.0]))
+    t_gt = T.const(np.array([0.3, -0.1, 0.05]))
+    total = None
+    for w, lv in zip((1.6, 0.8, 0.4, 0.2), out.levels):
+        dq, dt = T.sub(lv.q, q_gt), T.sub(lv.t, t_gt)
+        term = T.add(T.reduce_sum(T.mul(dt, dt)),
+                     T.mul(T.const(10.0), T.reduce_sum(T.mul(dq, dq))))
+        term = T.mul(T.const(w), term)
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _train_step(net, pc1, pc2):
+    with T.Tape() as tape:
+        out = net.forward(pc1, pc2)
+        loss = _pose_loss(out)
+    return tape, out, loss, tape.backward(loss, net.store)
 
 
 def test_forward_rejects_a_nan_point():
@@ -83,3 +111,58 @@ def test_no_warp_changes_the_refined_poses():
     # level 4 is estimated before any warp, so it is unchanged
     assert full[0].tobytes() == no_warp[0].tobytes()
     assert not np.allclose(full[1:], no_warp[1:], atol=1e-9)
+
+
+def test_a_dropped_tape_is_freed_without_the_cycle_collector():
+    net = OdometryNet(desk_config())
+    pc1, pc2 = _scans()
+    gc.disable()
+    try:
+        tape, out, loss, grads = _train_step(net, pc1, pc2)
+        first = {k: g.copy() for k, g in grads.items()}
+        ref = weakref.ref(tape)
+        del tape, out, loss, grads
+        # parameters hold no reference to the finished tape, and no closure
+        # on it holds a Tensor, so reference counting alone frees it
+        assert ref() is None
+    finally:
+        gc.enable()
+    # a fresh tape on the same parameters gives the same gradients
+    grads = _train_step(net, pc1, pc2)[3]
+    assert grads.keys() == first.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == first[name].tobytes(), name
+
+
+def test_whole_network_gradient_matches_central_differences():
+    """Central differences of the four-level pose loss against backward()
+    on 24 parameter entries sampled with a fixed rng.
+
+    Every bias first gets a fixed small random offset.  With zero biases
+    each centre's self-neighbour (rel = 0) feeds exactly 0 into a ReLU, and
+    finite differences across that kink read half the slope (at zero biases
+    pyramid/l1/mlp/1/b is off by over 20%).
+    """
+    net = OdometryNet(desk_config())
+    rng = np.random.default_rng(0)
+    for p in net.store:
+        if p.name.endswith("/b"):
+            p.value = p.value + 0.05 * rng.standard_normal(p.value.shape)
+    pc1, pc2 = _scans()
+    grads = _train_step(net, pc1, pc2)[3]
+    params = list(net.store)
+    h = 1e-5
+    for i in rng.choice(len(params), 24, replace=False):
+        p = params[i]
+        j = tuple(int(rng.integers(n)) for n in p.value.shape)
+        base = p.value
+        loss = []
+        for step in (h, -h):
+            moved = base.copy()
+            moved[j] += step
+            p.value = moved
+            loss.append(_pose_loss(net.forward(pc1, pc2)).item())
+        p.value = base
+        numeric = (loss[0] - loss[1]) / (2.0 * h)
+        gap = grad_gap(np.array([grads[p.name][j]]), np.array([numeric]))
+        assert gap < 1e-4, (p.name, j, grads[p.name][j], numeric)

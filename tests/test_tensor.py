@@ -275,6 +275,35 @@ def test_unreached_parameter_gets_zero_grad():
     assert unused.value.shape == (3,)
 
 
+def test_same_named_parameters_on_one_tape_raise():
+    # two stores may each hold a "w"; one tape cannot tell their leaves apart,
+    # so 5a + 7b would silently lose a gradient
+    a = T.ParamStore().create("w", np.array([1.0]))
+    b = T.ParamStore().create("w", np.array([1.0]))
+    with T.Tape():
+        T.mul(T.const(np.array([5.0])), a.tensor())
+        with pytest.raises(T.TensorError, match="two parameters named 'w'"):
+            T.mul(T.const(np.array([7.0])), b.tensor())
+
+
+def test_grad_is_kept_for_leaves_only():
+    store = T.ParamStore()
+    w = store.create("w", np.array([1.0, 2.0]))
+    with T.Tape() as tp:
+        x = T.const(np.array([3.0, 4.0]))
+        h = T.mul(w.tensor(), x)
+        loss = T.reduce_sum(T.mul(h, h))
+    grads = tp.backward(loss, store)
+    assert tp.grad(w.tensor()) is grads["w"]
+    assert grads["w"].tolist() == [18.0, 64.0]
+    assert tp.grad(x).tolist() == [6.0, 32.0]
+    for interior in (h, loss):
+        with pytest.raises(T.TensorError, match="leaf gradients only"):
+            tp.grad(interior)
+    # the parameter is keyed on the tape, never tagged with it
+    assert w.tensor().tape is None
+
+
 def test_eager_mode_without_tape():
     y = T.add(T.const(np.ones(3)), T.const(np.ones(3)))
     assert y.tape is None
