@@ -8,9 +8,13 @@ patch and suppresses spurious matches.
 
 Both stages share one input construction: for a center with feature f_c and a
 neighbor at offset d with feature f_n, the attention MLP u and the value MLP
-v both see (d, |d|, f_c, f_n).  Attention weights are a per-channel softmax
-over the neighborhood; the "uniform" variant replaces them with 1/k, which
-removes the learned attention while keeping the value path intact.
+v both see (d, |d|, f_c, f_n).  No (n, k, 4 + 2c) concat is built: the first
+layer of u and of v runs factorized (SharedMLP.grouped), with d and |d| per
+edge, f_c per center, and f_n projected once per reference point and then
+gathered; this equals the concat form up to summation order.  Attention
+weights are a per-channel softmax over the neighborhood; the "uniform"
+variant replaces them with 1/k, which removes the learned attention while
+keeping the value path intact.
 """
 from __future__ import annotations
 
@@ -54,18 +58,17 @@ class CostVolume:
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,
                 u: SharedMLP | None, v: SharedMLP) -> T.Tensor:
         n, k = nbr.shape
-        ctr = np.broadcast_to(np.arange(n)[:, None], nbr.shape)
         rel = T.sub(T.gather_rows(ref_coords, nbr),
-                    T.gather_rows(centers, ctr))
+                    T.reshape(centers, (n, 1, 3)))
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2, keepdims=True),
                             T.const(_DIST_EPS)))
-        x = T.concat([rel, dist, T.gather_rows(center_f, ctr),
-                      T.gather_rows(ref_f, nbr)], axis=2)
-        val = v(x)
+        parts = (rel, dist, T.reshape(center_f, (n, 1, center_f.shape[1])),
+                 ref_f)
+        val = v.grouped(nbr, *parts)
         if u is None:
             weights = T.const(np.full((n, k, 1), 1.0 / k))
             return T.reduce_sum(T.mul(weights, val), axis=1)
-        weights = T.softmax_axis(u(x), axis=1)
+        weights = T.softmax_axis(u.grouped(nbr, *parts), axis=1)
         return T.reduce_sum(T.mul(weights, val), axis=1)
 
     def __call__(self, coords1: T.Tensor, feats1: T.Tensor,

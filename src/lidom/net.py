@@ -74,6 +74,11 @@ class NetConfig:
             raise NetError(f"level counts must not increase: {counts}")
         if any(c < 1 for c in (self.c1, self.c2, self.c3, self.c4)):
             raise NetError("channel widths must be positive")
+        for name in ("knn_k", "cv_k1", "cv_k2", "up_k",
+                     "fc_hidden1", "fc_hidden2"):
+            if getattr(self, name) < 1:
+                raise NetError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.knn_k > self.n4:
             raise NetError(
                 f"knn_k={self.knn_k} exceeds the coarsest level ({self.n4})")

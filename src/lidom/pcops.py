@@ -12,9 +12,14 @@ finite, and FPS rejects a cloud with fewer distinct points than it must pick.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
-level.  Both gather their (n, k, c) groups straight from (n, k) neighbor
-and center index tables.  Shared MLPs apply relu on every layer; the FC
-stacks used by pose heads elsewhere do not (see headmask).
+level.  Both run the MLP's first layer factorized (SharedMLP.grouped, the
+EdgeConv split): rather than concatenating (offset, neighbor features,
+center features) per edge and multiplying by the first weight, each part
+multiplies its own row block of that weight, neighbor features once per
+point before the (n, k) gather and center features once per center.  That
+equals the concat form up to summation order.  Shared MLPs apply relu on
+every layer; the FC stacks used by pose heads elsewhere do not (see
+headmask).
 """
 from __future__ import annotations
 
@@ -155,9 +160,43 @@ class SharedMLP:
             fan_in = w
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
+        weight, bias = self.layers[0]
+        return self._finish(T.add(T.matmul(x, weight.tensor()), bias.tensor()))
+
+    def grouped(self, nbr: np.ndarray, *parts: T.Tensor) -> T.Tensor:
+        """The MLP over (n, k) edges whose input rows concat `parts` in
+        order, without building the (n, k, sum of widths) concat.
+
+        The first layer is linear, so each part multiplies its own row block
+        of the first weight.  A rank-3 part is per edge (n, k, w) or per
+        center (n, 1, w) and broadcasts over the neighborhood; a rank-2
+        part is per reference point (n_ref, w), projected once per point and
+        gathered by the (n, k) table nbr.  Equals mlp(concat(...)) up to
+        summation order.
+        """
+        weight, bias = self.layers[0]
+        w = weight.tensor()
+        widths = [p.shape[-1] for p in parts]
+        if sum(widths) != w.shape[0]:
+            raise PcopsError(f"grouped input widths {widths} do not sum to "
+                             f"the first layer's {w.shape[0]} rows")
+        h, lo, b = None, 0, bias.tensor()
+        for part, width in zip(parts, widths):
+            proj = T.matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
+            if part.data.ndim == 2:
+                if b is not None:  # add the bias per point, not per edge
+                    proj, b = T.add(proj, b), None
+                proj = T.gather_rows(proj, nbr)
+            h = proj if h is None else T.add(h, proj)
+            lo += width
+        return self._finish(h if b is None else T.add(h, b))
+
+    def _finish(self, x: T.Tensor) -> T.Tensor:
+        """relu the first layer's pre-activation x, then run the rest."""
         last = len(self.layers) - 1
         for i, (weight, bias) in enumerate(self.layers):
-            x = T.add(T.matmul(x, weight.tensor()), bias.tensor())
+            if i:
+                x = T.add(T.matmul(x, weight.tensor()), bias.tensor())
             if i < last or self.relu_last:
                 x = T.relu(x)
         return x
@@ -193,19 +232,23 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
              ) -> tuple[T.Tensor, T.Tensor]:
     """Sampled local aggregation.
 
-    For each center, gather its k nearest input points, run the shared MLP on
-    (neighbor - center) concat neighbor features concat center features, and
-    max-pool over the neighborhood.  Returns (center coords, features).
+    For each center, gather its k nearest input points and max-pool the
+    shared MLP over the neighborhood.  The MLP's input per edge is
+    (neighbor - center, neighbor features, center features); its first
+    layer runs factorized (SharedMLP.grouped): offsets per edge, neighbor
+    features projected once per input point and gathered, center features
+    projected once per center.  Returns (center coords, features).
     """
     centers = np.asarray(center_idx, dtype=np.int64)
     nbr = knn_indices(coords.data[centers], coords.data, k)
-    ctr = np.broadcast_to(centers[:, None], nbr.shape)
-    parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
-    if feats is not None:
-        parts += [T.gather_rows(feats, nbr), T.gather_rows(feats, ctr)]
-    h = mlp(T.concat(parts, axis=2))
-    pooled = T.reduce_max(h, axis=1)
     out_coords = T.gather_rows(coords, centers)
+    m = centers.shape[0]
+    parts = [T.sub(T.gather_rows(coords, nbr),
+                   T.reshape(out_coords, (m, 1, 3)))]
+    if feats is not None:
+        ctr_f = T.gather_rows(feats, centers)
+        parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
+    pooled = T.reduce_max(mlp.grouped(nbr, *parts), axis=1)
     return out_coords, pooled
 
 
@@ -217,15 +260,15 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor | None,
     nbr is the (n_dense, k) table of each dense point's nearest sparse points,
     knn_indices(dense coords, sparse coords, k); callers that propagate
     several sparse features over the same two clouds share one table.  Per
-    dense point: gather those k sparse points, run the first MLP on
-    (sparse - dense) concat sparse features, max-pool, append the dense
-    point's own features, and finish with the second MLP.
+    dense point: max-pool the first MLP over those k sparse points, whose
+    input per edge is (sparse - dense, sparse features), run factorized as
+    in set_conv; then append the dense point's own features and finish with
+    the second MLP.
     """
-    ctr = np.broadcast_to(np.arange(nbr.shape[0])[:, None], nbr.shape)
+    n = nbr.shape[0]
     rel = T.sub(T.gather_rows(sparse_coords, nbr),
-                T.gather_rows(dense_coords, ctr))
-    grouped = T.gather_rows(sparse_feats, nbr)
-    pooled = T.reduce_max(mlp1(T.concat([rel, grouped], axis=2)), axis=1)
+                T.reshape(dense_coords, (n, 1, 3)))
+    pooled = T.reduce_max(mlp1.grouped(nbr, rel, sparse_feats), axis=1)
     if dense_feats is not None:
         pooled = T.concat([pooled, dense_feats], axis=1)
     return mlp2(pooled)

@@ -356,7 +356,11 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise TensorError(
+            f"reshape: cannot reshape {a.data.shape} to {shape}") from None
     in_shape = a.data.shape
     return _make("reshape", (a,), out, lambda g: (g.reshape(in_shape),))
 

@@ -65,6 +65,13 @@ def test_forward_rejects_a_scan_with_fewer_distinct_points_than_level_1():
     ("knn_k", 17, "knn_k=17 exceeds"),
     ("first_embedding", "first", "first_embedding"),
     ("cost_volume_mode", "banana", "cost_volume_mode"),
+    ("knn_k", 0, "knn_k must be positive, got 0"),
+    ("knn_k", -1, "knn_k must be positive, got -1"),
+    ("cv_k1", 0, "cv_k1 must be positive"),
+    ("cv_k2", 0, "cv_k2 must be positive"),
+    ("up_k", 0, "up_k must be positive"),
+    ("fc_hidden1", 0, "fc_hidden1 must be positive"),
+    ("fc_hidden2", 0, "fc_hidden2 must be positive"),
 ])
 def test_config_rejects(key, value, match):
     with pytest.raises(NetError, match=match):

@@ -196,6 +196,11 @@ def test_grad_reshape():
                  chain=lambda y: T.mul(y, y))
 
 
+def test_reshape_to_another_size_raises():
+    with pytest.raises(T.TensorError, match=r"\(6, 2\) to \(5, 1, 2\)"):
+        T.reshape(T.const(np.zeros((6, 2))), (5, 1, 2))
+
+
 def test_composite_chain_close_to_real_use():
     # matmul -> relu -> softmax -> weighted sum, checked end to end
     rng = np.random.default_rng(20)
