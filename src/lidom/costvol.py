@@ -8,13 +8,13 @@ patch and suppresses spurious matches.
 
 Both stages share one input construction: for a center with feature f_c and a
 neighbor at offset d with feature f_n, the attention MLP u and the value MLP
-v both see (d, |d|, f_c, f_n).  No (n, k, 4 + 2c) concat is built: the first
-layer of u and of v runs factorized (SharedMLP.grouped), with d and |d| per
-edge, f_c per center, and f_n projected once per reference point and then
-gathered; this equals the concat form up to summation order.  Attention
-weights are a per-channel softmax over the neighborhood; the "uniform"
-variant replaces them with 1/k, which removes the learned attention while
-keeping the value path intact.
+v both see (d, |d|, f_c, f_n).  No (n, k, 4 + 2c) concat is built: u and v
+take the four as parts with the neighbor table, mlp(*parts, nbr=nbr), so
+their first layer runs factorized, with d and |d| per edge, f_c per center,
+and f_n projected once per reference point and then gathered; this equals
+the concat form up to summation order.  Attention weights are a per-channel
+softmax over the neighborhood; the "uniform" variant replaces them with 1/k,
+which removes the learned attention while keeping the value path intact.
 """
 from __future__ import annotations
 
@@ -64,11 +64,11 @@ class CostVolume:
                             T.const(_DIST_EPS)))
         parts = (rel, dist, T.reshape(center_f, (n, 1, center_f.shape[1])),
                  ref_f)
-        val = v.grouped(nbr, *parts)
+        val = v(*parts, nbr=nbr)
         if u is None:
             weights = T.const(np.full((n, k, 1), 1.0 / k))
             return T.reduce_sum(T.mul(weights, val), axis=1)
-        weights = T.softmax_axis(u.grouped(nbr, *parts), axis=1)
+        weights = T.softmax_axis(u(*parts, nbr=nbr), axis=1)
         return T.reduce_sum(T.mul(weights, val), axis=1)
 
     def __call__(self, coords1: T.Tensor, feats1: T.Tensor,

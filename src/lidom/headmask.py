@@ -32,9 +32,8 @@ def make_mask(embedding: T.Tensor, feats: T.Tensor, prior: T.Tensor | None,
     Input rows are (embedding, prior, features) when a coarser-level prior is
     present, (embedding, features) otherwise.
     """
-    parts = [embedding] if prior is None else [embedding, prior]
-    parts.append(feats)
-    return T.softmax_axis(mlp(T.concat(parts, axis=1)), axis=0)
+    parts = (embedding, feats) if prior is None else (embedding, prior, feats)
+    return T.softmax_axis(mlp(*parts), axis=0)
 
 
 def pose_head(embedding: T.Tensor, mask: T.Tensor | None, fc_q: FcStack,
@@ -94,7 +93,7 @@ def warp_refine(blk: RefineBlock, coords1: T.Tensor, feats1: T.Tensor,
     if use_warp:
         warped = rotate_points_t(q_coarse, t_coarse, coords1)
     re = blk.cost_volume(warped, feats1, coords2, feats2)
-    emb = blk.refine_mlp(T.concat([ce, re, feats1], axis=1))
+    emb = blk.refine_mlp(ce, re, feats1)
     mask = None
     if blk.mask_mlp is not None:
         mask = make_mask(emb, feats1, cm, blk.mask_mlp)

@@ -12,14 +12,14 @@ finite, and FPS rejects a cloud with fewer distinct points than it must pick.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
-level.  Both run the MLP's first layer factorized (SharedMLP.grouped, the
-EdgeConv split): rather than concatenating (offset, neighbor features,
-center features) per edge and multiplying by the first weight, each part
-multiplies its own row block of that weight, neighbor features once per
-point before the (n, k) gather and center features once per center.  That
-equals the concat form up to summation order.  Shared MLPs apply relu on
-every layer; the FC stacks used by pose heads elsewhere do not (see
-headmask).
+level.  A SharedMLP takes its input as parts, mlp(*parts, nbr=...), and
+runs its first layer factorized (the EdgeConv split): rather than
+concatenating (offset, neighbor features, center features) per edge and
+multiplying by the first weight, each part multiplies its own row block of
+that weight, neighbor features once per point before the (n, k) gather and
+center features once per center.  That equals the concat form up to
+summation order.  Shared MLPs apply relu on every layer; the FC stacks used
+by pose heads elsewhere do not (see headmask).
 """
 from __future__ import annotations
 
@@ -159,40 +159,37 @@ class SharedMLP:
             self.layers.append((weight, bias))
             fan_in = w
 
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        weight, bias = self.layers[0]
-        return self._finish(T.add(T.matmul(x, weight.tensor()), bias.tensor()))
-
-    def grouped(self, nbr: np.ndarray, *parts: T.Tensor) -> T.Tensor:
-        """The MLP over (n, k) edges whose input rows concat `parts` in
-        order, without building the (n, k, sum of widths) concat.
+    def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
+                 ) -> T.Tensor:
+        """The MLP over input rows that concat `parts` in order, without
+        building the concat.
 
         The first layer is linear, so each part multiplies its own row block
-        of the first weight.  A rank-3 part is per edge (n, k, w) or per
-        center (n, 1, w) and broadcasts over the neighborhood; a rank-2
-        part is per reference point (n_ref, w), projected once per point and
-        gathered by the (n, k) table nbr.  Equals mlp(concat(...)) up to
-        summation order.
+        of the first weight, and the bias is added once.  Without nbr every
+        part is per row.  With the (n, k) table nbr the rows are edges: a
+        rank-3 part is per edge (n, k, w) or per center (n, 1, w) and
+        broadcasts over the neighborhood; a rank-2 part is per reference
+        point (n_ref, w), projected once per point and gathered by nbr.
+        Equals the MLP on the concat up to summation order.
         """
         weight, bias = self.layers[0]
         w = weight.tensor()
         widths = [p.shape[-1] for p in parts]
         if sum(widths) != w.shape[0]:
-            raise PcopsError(f"grouped input widths {widths} do not sum to "
-                             f"the first layer's {w.shape[0]} rows")
-        h, lo, b = None, 0, bias.tensor()
+            raise PcopsError(f"input widths {widths} do not sum to the "
+                             f"first layer's {w.shape[0]} rows")
+        x, lo, b = None, 0, bias.tensor()
         for part, width in zip(parts, widths):
             proj = T.matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
             if part.data.ndim == 2:
-                if b is not None:  # add the bias per point, not per edge
+                if b is not None:  # before any gather: per point, not per edge
                     proj, b = T.add(proj, b), None
-                proj = T.gather_rows(proj, nbr)
-            h = proj if h is None else T.add(h, proj)
+                if nbr is not None:
+                    proj = T.gather_rows(proj, nbr)
+            x = proj if x is None else T.add(x, proj)
             lo += width
-        return self._finish(h if b is None else T.add(h, b))
-
-    def _finish(self, x: T.Tensor) -> T.Tensor:
-        """relu the first layer's pre-activation x, then run the rest."""
+        if b is not None:
+            x = T.add(x, b)
         last = len(self.layers) - 1
         for i, (weight, bias) in enumerate(self.layers):
             if i:
@@ -235,7 +232,7 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     For each center, gather its k nearest input points and max-pool the
     shared MLP over the neighborhood.  The MLP's input per edge is
     (neighbor - center, neighbor features, center features); its first
-    layer runs factorized (SharedMLP.grouped): offsets per edge, neighbor
+    layer runs factorized (SharedMLP with nbr): offsets per edge, neighbor
     features projected once per input point and gathered, center features
     projected once per center.  Returns (center coords, features).
     """
@@ -248,11 +245,11 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     if feats is not None:
         ctr_f = T.gather_rows(feats, centers)
         parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
-    pooled = T.reduce_max(mlp.grouped(nbr, *parts), axis=1)
+    pooled = T.reduce_max(mlp(*parts, nbr=nbr), axis=1)
     return out_coords, pooled
 
 
-def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor | None,
+def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
                sparse_coords: T.Tensor, sparse_feats: T.Tensor,
                nbr: np.ndarray, mlp1: SharedMLP, mlp2: SharedMLP) -> T.Tensor:
     """Propagate sparse-level features to every dense point.
@@ -262,13 +259,11 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor | None,
     several sparse features over the same two clouds share one table.  Per
     dense point: max-pool the first MLP over those k sparse points, whose
     input per edge is (sparse - dense, sparse features), run factorized as
-    in set_conv; then append the dense point's own features and finish with
-    the second MLP.
+    in set_conv; then run the second MLP on (pooled features, the dense
+    point's own features).
     """
     n = nbr.shape[0]
     rel = T.sub(T.gather_rows(sparse_coords, nbr),
                 T.reshape(dense_coords, (n, 1, 3)))
-    pooled = T.reduce_max(mlp1.grouped(nbr, rel, sparse_feats), axis=1)
-    if dense_feats is not None:
-        pooled = T.concat([pooled, dense_feats], axis=1)
-    return mlp2(pooled)
+    pooled = T.reduce_max(mlp1(rel, sparse_feats, nbr=nbr), axis=1)
+    return mlp2(pooled, dense_feats)

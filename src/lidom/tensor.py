@@ -11,22 +11,23 @@ never point at it, so reference counting frees it once its caller lets go.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, relu/sqrt, matmul of a rank 2 or 3 array by a rank-2
-matrix, axis softmax, sum and per-axis max reductions, concat/reshape, and
-row gathers with scatter-add gradients.  Everything is double precision end
+matrix, axis softmax, sum and per-axis max reductions, reshape, and row
+gathers with scatter-add gradients.  Everything is double precision end
 to end.
 """
 from __future__ import annotations
 
+import math
 import re
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
     "const", "add", "sub", "mul", "div", "relu", "sqrt",
-    "matmul", "softmax_axis", "reduce_sum", "reduce_max", "concat",
-    "reshape", "gather_rows", "save_params", "load_params",
+    "matmul", "softmax_axis", "reduce_sum", "reduce_max", "reshape",
+    "gather_rows", "save_params", "load_params",
 ]
 
 
@@ -337,24 +338,6 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
 
 # --- shape ops ---
 
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise TensorError("concat: need at least one tensor")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
-
-    def back(g):
-        gs = []
-        for i in range(len(offsets) - 1):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            gs.append(g[tuple(sl)])
-        return tuple(gs)
-
-    return _make("concat", parts, out, back)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     try:
         out = a.data.reshape(shape)
@@ -467,31 +450,38 @@ def save_params(store: ParamStore) -> bytes:
     return bytes(out)
 
 
-def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
-    end = buf.index(b"\n", pos)
-    return buf[pos:end].decode(), end + 1
+_COUNT_RE = re.compile(rb"count (\d+)")
+_PARAM_RE = re.compile(rb"param ([!-~]+) ([01]) (\d+)((?: \d+)*)")
+
+
+def _read_line(buf: bytes, pos: int) -> tuple[bytes, int]:
+    end = buf.find(b"\n", pos)
+    if end < 0:
+        raise TensorError("truncated checkpoint: a line has no end")
+    return buf[pos:end], end + 1
 
 
 def load_params(blob: bytes) -> ParamStore:
-    pos = 0
-    line, pos = _read_line(blob, pos)
-    if line.encode() != _CKPT_MAGIC:
+    """Parse save_params output; a malformed blob raises TensorError."""
+    line, pos = _read_line(blob, 0)
+    if line != _CKPT_MAGIC:
         raise TensorError(f"bad checkpoint header {line!r}")
     line, pos = _read_line(blob, pos)
-    if not line.startswith("count "):
-        raise TensorError("checkpoint missing parameter count")
-    n = int(line.split()[1])
+    count = _COUNT_RE.fullmatch(line)
+    if count is None:
+        raise TensorError(f"bad parameter count line {line!r}")
     store = ParamStore()
-    for _ in range(n):
+    for _ in range(int(count[1])):
         line, pos = _read_line(blob, pos)
-        fields = line.split()
-        if fields[0] != "param":
+        head = _PARAM_RE.fullmatch(line)
+        if head is None:
             raise TensorError(f"expected param line, got {line!r}")
-        name, trainable, ndim = fields[1], bool(int(fields[2])), int(fields[3])
-        shape = tuple(int(d) for d in fields[4:4 + ndim])
+        name, ndim = head[1].decode(), int(head[3])
+        shape = tuple(int(d) for d in head[4].split())
         if len(shape) != ndim:
-            raise TensorError(f"parameter {name}: truncated shape")
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
+            raise TensorError(f"parameter {name}: {len(shape)} dims given, "
+                              f"{ndim} declared")
+        nbytes = 8 * math.prod(shape)
         raw = blob[pos:pos + nbytes]
         if len(raw) != nbytes:
             raise TensorError(f"parameter {name}: truncated data")
@@ -500,5 +490,8 @@ def load_params(blob: bytes) -> ParamStore:
             raise TensorError(f"parameter {name}: missing terminator")
         pos += 1
         value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        store.create(name, value, trainable)
+        store.create(name, value, bool(int(head[2])))
+    if pos != len(blob):
+        raise TensorError(f"{len(blob) - pos} trailing bytes after the last "
+                          f"parameter")
     return store

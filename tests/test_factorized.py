@@ -1,9 +1,10 @@
-"""The factorized first layer of every grouped MLP against an unfactorized
-oracle, its width check, and the absence of per-edge concats on the tape.
+"""The factorized first layer of every shared MLP against an unfactorized
+oracle, its width check, and the absence of concats on the tape.
 
-The oracles below build the (n, k, width) concat each site used to build
-and run the whole MLP on it with mlp(x).  The factorized sites sum the same
-products in another order, so they agree to rounding, not bit for bit.
+The oracles below build the (n, k, width) or (n, width) concat each site
+would otherwise build and run the whole MLP on it as one part, mlp(x).  The
+factorized sites sum the same products in another order, so they agree to
+rounding, not bit for bit.
 """
 import numpy as np
 import pytest
@@ -16,13 +17,28 @@ from lidom.net import OdometryNet, desk_config
 TOL = 1e-12
 
 
+def concat(parts):
+    """The concat of parts along their last axis, as the sum of
+    matmul(part, E) with 0/1 placement matrices E: exact for finite
+    values, and no concat op on the tape."""
+    widths = [p.shape[-1] for p in parts]
+    x, lo = None, 0
+    for part, width in zip(parts, widths):
+        place = np.zeros((width, sum(widths)))
+        place[np.arange(width), lo + np.arange(width)] = 1.0
+        term = T.matmul(part, T.const(place))
+        x = term if x is None else T.add(x, term)
+        lo += width
+    return x
+
+
 def set_conv_concat(coords, feats, centers, k, mlp):
     nbr = P.knn_indices(coords.data[centers], coords.data, k)
     ctr = np.broadcast_to(centers[:, None], nbr.shape)
     parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
     if feats is not None:
         parts += [T.gather_rows(feats, nbr), T.gather_rows(feats, ctr)]
-    return T.reduce_max(mlp(T.concat(parts, axis=2)), axis=1)
+    return T.reduce_max(mlp(concat(parts)), axis=1)
 
 
 def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
@@ -30,11 +46,9 @@ def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
     ctr = np.broadcast_to(np.arange(nbr.shape[0])[:, None], nbr.shape)
     rel = T.sub(T.gather_rows(sparse_coords, nbr),
                 T.gather_rows(dense_coords, ctr))
-    x = T.concat([rel, T.gather_rows(sparse_feats, nbr)], axis=2)
+    x = concat([rel, T.gather_rows(sparse_feats, nbr)])
     pooled = T.reduce_max(mlp1(x), axis=1)
-    if dense_feats is not None:
-        pooled = T.concat([pooled, dense_feats], axis=1)
-    return mlp2(pooled)
+    return mlp2(concat([pooled, dense_feats]))
 
 
 def cost_volume_concat(cv, coords1, feats1, coords2, feats2):
@@ -45,8 +59,8 @@ def cost_volume_concat(cv, coords1, feats1, coords2, feats2):
                     T.gather_rows(centers, ctr))
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2,
                                          keepdims=True), T.const(C._DIST_EPS)))
-        x = T.concat([rel, dist, T.gather_rows(center_f, ctr),
-                      T.gather_rows(ref_f, nbr)], axis=2)
+        x = concat([rel, dist, T.gather_rows(center_f, ctr),
+                    T.gather_rows(ref_f, nbr)])
         if u is None:
             weights = T.const(np.full((n, k, 1), 1.0 / k))
         else:
@@ -126,21 +140,33 @@ def test_set_conv_matches_the_concat_oracle(c_in):
         store, [coords, feats])
 
 
-@pytest.mark.parametrize("with_dense", [True, False])
-def test_set_upconv_matches_the_concat_oracle(with_dense):
+def test_set_upconv_matches_the_concat_oracle():
     rng = np.random.default_rng(2)
     dense, sparse = rng.normal(size=(25, 3)), rng.normal(size=(9, 3))
-    dense_f = rng.normal(size=(25, 3)) if with_dense else None
+    dense_f = rng.normal(size=(25, 3))
     sparse_f = rng.normal(size=(9, 4))
     store = T.ParamStore()
     mlp1 = _mlp(store, "up1", 3 + 4, [6, 6], seed=3)
-    mlp2 = _mlp(store, "up2", 6 + (3 if with_dense else 0), [5], seed=4)
+    mlp2 = _mlp(store, "up2", 6 + 3, [5], seed=4)
     _offset_biases(store, seed=1)
     nbr = P.knn_indices(dense, sparse, 3)
     _assert_matches_oracle(
         lambda d, df, s, sf: P.set_upconv(d, df, s, sf, nbr, mlp1, mlp2),
         lambda d, df, s, sf: set_upconv_concat(d, df, s, sf, nbr, mlp1, mlp2),
         store, [dense, dense_f, sparse, sparse_f])
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+def test_per_row_parts_match_the_concat_oracle(relu_last):
+    # make_mask and the refinement MLP feed (n, c) parts with no nbr table
+    rng = np.random.default_rng(7)
+    inputs = [rng.normal(size=(11, w)) for w in (4, 3, 5)]
+    store = T.ParamStore()
+    mlp = P.SharedMLP(store, "row", 12, [6, 4], np.random.default_rng(8),
+                      relu_last=relu_last)
+    _offset_biases(store, seed=3)
+    _assert_matches_oracle(lambda *ps: mlp(*ps),
+                           lambda *ps: mlp(concat(ps)), store, inputs)
 
 
 @pytest.mark.parametrize("mode", ["attentive", "uniform"])
@@ -177,11 +203,14 @@ def test_set_upconv_rejects_sparse_features_of_the_wrong_width():
     dense, sparse = rng.normal(size=(12, 3)), rng.normal(size=(5, 3))
     store = T.ParamStore()
     mlp1 = _mlp(store, "up1", 3 + 4, [6], seed=0)
-    mlp2 = _mlp(store, "up2", 6, [5], seed=1)
+    mlp2 = _mlp(store, "up2", 6 + 3, [5], seed=1)
     nbr = P.knn_indices(dense, sparse, 2)
+    dense_f = T.const(rng.normal(size=(12, 3)))
+    P.set_upconv(T.const(dense), dense_f, T.const(sparse),
+                 T.const(rng.normal(size=(5, 4))), nbr, mlp1, mlp2)
     for width in (3, 5):
         with pytest.raises(P.PcopsError, match="do not sum"):
-            P.set_upconv(T.const(dense), None, T.const(sparse),
+            P.set_upconv(T.const(dense), dense_f, T.const(sparse),
                          T.const(rng.normal(size=(5, width))), nbr,
                          mlp1, mlp2)
 
@@ -205,7 +234,5 @@ def test_a_taped_pair_builds_no_per_edge_concat():
         loss = T.reduce_sum(T.mul(out.levels[-1].t, out.levels[-1].t))
     tape.backward(loss, net.store)
     kinds = {node.kind for node in tape.nodes}
-    assert {"concat", "gather", "matmul"} <= kinds
-    edge_concats = [node.shape for node in tape.nodes
-                    if node.kind == "concat" and len(node.shape) == 3]
-    assert edge_concats == []
+    assert {"gather", "matmul"} <= kinds
+    assert "concat" not in kinds

@@ -275,19 +275,6 @@ def test_set_upconv_shapes_and_gradients():
     assert grad_gap(tp.grad(tsf), numeric) < 1e-4
 
 
-def test_set_upconv_without_dense_features():
-    rng = np.random.default_rng(6)
-    store = T.ParamStore()
-    mlp1 = _mlp(store, "up1", 7, [6])
-    mlp2 = _mlp(store, "up2", 6, [5])
-    dense = rng.normal(size=(10, 3))
-    sparse = rng.normal(size=(4, 3))
-    out = P.set_upconv(T.const(dense), None, T.const(sparse),
-                       T.const(rng.normal(size=(4, 4))),
-                       P.knn_indices(dense, sparse, 2), mlp1, mlp2)
-    assert out.shape == (10, 5)
-
-
 def test_fc_stack_is_linear():
     store = T.ParamStore()
     fc = P.FcStack(store, "fc", 4, [6, 3], np.random.default_rng(0))

