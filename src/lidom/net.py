@@ -136,6 +136,7 @@ class _Pyramid:
         self.coords: list[T.Tensor] = []   # level 1..4
         self.feats: list[T.Tensor] = []
         self.center_idx: list[np.ndarray] = []
+        self.nbr: list[np.ndarray] = []    # each level's (n, knn_k) table
 
 
 class OdometryNet:
@@ -215,14 +216,16 @@ class OdometryNet:
         feats: T.Tensor | None = None
         for i, (n, _) in enumerate(self.cfg.levels()):
             try:
-                centers = farthest_point_sample(coords.data, n)
+                centers, nbr = farthest_point_sample(coords.data, n,
+                                                     self.cfg.knn_k)
             except PcopsError as e:  # too few distinct points in the scan
                 raise NetError(f"{name}: {e}") from e
-            coords, feats = set_conv(coords, feats, centers,
-                                     self.cfg.knn_k, self.pyramid[i])
+            coords, feats = set_conv(coords, feats, centers, nbr,
+                                     self.pyramid[i])
             out.coords.append(coords)
             out.feats.append(feats)
             out.center_idx.append(centers)
+            out.nbr.append(nbr)
         return out
 
     def forward(self, pc1: np.ndarray, pc2: np.ndarray) -> NetOutput:
@@ -244,8 +247,9 @@ class OdometryNet:
         if cfg.first_embedding == "penultimate":
             e3 = self.cv_init(p1.coords[2], p1.feats[2],
                               p2.coords[2], p2.feats[2])
-            _, e4 = set_conv(p1.coords[2], e3, p1.center_idx[3],
-                             cfg.knn_k, self.carry)
+            # the same centers and neighborhoods as pc1's level 4
+            _, e4 = set_conv(p1.coords[2], e3, p1.center_idx[3], p1.nbr[3],
+                             self.carry)
         else:
             e4 = self.cv_init(p1.coords[3], p1.feats[3],
                               p2.coords[3], p2.feats[3])

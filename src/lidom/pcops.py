@@ -7,8 +7,11 @@ Both sampling routines are exact and deterministic: FPS breaks max-distance
 ties toward the lowest index, KNN sorts by (distance, index).  KNN computes
 every squared distance but sorts only a partial selection: argpartition
 finds k candidates per query, and only rows tied at the k-th distance fall
-back to a full stable sort.  Both reject clouds that are not (n, 3) or not
-finite, and FPS rejects a cloud with fewer distinct points than it must pick.
+back to a full stable sort.  FPS computes each pick's distance row to the
+whole cloud anyway, so it returns the pick's k nearest points with it, by
+the same selection: set_conv takes that table and the pyramid runs no KNN
+of its own.  Both reject clouds that are not (n, 3) or not finite, and FPS
+rejects a cloud with fewer distinct points than it must pick.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
@@ -18,8 +21,9 @@ concatenating (offset, neighbor features, center features) per edge and
 multiplying by the first weight, each part multiplies its own row block of
 that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
-summation order.  Shared MLPs apply relu on every layer; the FC stacks used
-by pose heads elsewhere do not (see headmask).
+summation order.  Every layer is one T.dense op.  Shared MLPs apply relu on
+every layer; the FC stacks used by pose heads elsewhere do not (see
+headmask).
 """
 from __future__ import annotations
 
@@ -64,46 +68,89 @@ def _sq_dists(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def farthest_point_sample(points: np.ndarray, m: int) -> np.ndarray:
-    """Greedy max-min sampling; returns m indices.
+def _nearest(d2: np.ndarray, k: int, within: np.ndarray) -> np.ndarray:
+    """Column indices of each row's k smallest entries of d2, ordered by
+    (value, index); within is a bool work buffer of d2's shape.
+
+    argpartition picks k candidates per row, which are then ordered by
+    (value, index).  The candidates are the unique answer unless more than
+    k entries lie within the k-th value (a tie at the k-th place); those
+    rows alone take a full stable sort.
+    """
+    cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    cand.sort(axis=1)
+    cand_d2 = np.take_along_axis(d2, cand, axis=1)
+    # a stable sort of index-ordered candidates orders by (d2, index)
+    order = np.argsort(cand_d2, axis=1, kind="stable")
+    best = np.take_along_axis(cand, order, axis=1)
+    kth = cand_d2.max(axis=1, keepdims=True)
+    np.less_equal(d2, kth, out=within)
+    tied = np.flatnonzero(np.count_nonzero(within, axis=1) > k)
+    if tied.size:
+        best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return best
+
+
+def _check_k(k: int, n: int) -> None:
+    if k < 1 or k > n:
+        raise PcopsError(f"k={k} invalid for a reference cloud of {n}")
+
+
+def farthest_point_sample(points: np.ndarray, m: int, k: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-min sampling; returns (centers, nbr): m indices, and the
+    (m, k) table of each center's k nearest points, which equals
+    knn_indices(points[centers], points, k).
 
     The first pick is point 0.  Each later pick maximizes the distance to
     the selected set, ties resolved to the lowest index.  Picks are distinct
     points; a cloud with fewer than m distinct points raises PcopsError.
+    Each pick's squared-distance row, which the max-min update needs anyway,
+    goes into a chunk buffer that knn_indices' selection turns into the
+    table, so no distance is computed twice.
     """
     points = _points(points, "points")
     n = points.shape[0]
     if m < 1 or m > n:
         raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
+    _check_k(k, n)
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
-    d2, nd, tmp = np.empty(n), np.empty(n), np.empty(n)
+    chunk = max(1, min(m, _KNN_CHUNK_ELEMS // n))
+    rows_buf = np.empty((chunk, n))
+    within_buf = np.empty((chunk, n), dtype=bool)
+    d2, tmp = np.empty(n), np.empty(n)
     sel = np.empty(m, dtype=np.int64)
-    sel[0] = 0
-    _sq_dists(cols, points[0], d2, tmp)
-    for i in range(1, m):
-        nxt = int(np.argmax(d2))  # first max wins ties
-        if d2[nxt] == 0.0:  # the i picks so far are every distinct point
-            raise PcopsError(f"cannot sample {m} distinct points from a "
-                             f"cloud with {i} distinct points")
+    nbr = np.empty((m, k), dtype=np.int64)
+    for i in range(m):
+        row = rows_buf[i % chunk]
+        if i == 0:
+            nxt = 0
+            d2[:] = _sq_dists(cols, points[0], row, tmp)
+        else:
+            nxt = int(np.argmax(d2))  # first max wins ties
+            if d2[nxt] == 0.0:  # the i picks so far are every distinct point
+                raise PcopsError(f"cannot sample {m} distinct points from a "
+                                 f"cloud with {i} distinct points")
+            np.minimum(d2, _sq_dists(cols, points[nxt], row, tmp), out=d2)
         sel[i] = nxt
-        np.minimum(d2, _sq_dists(cols, points[nxt], nd, tmp), out=d2)
-    return sel
+        if i % chunk == chunk - 1 or i == m - 1:
+            lo = i - i % chunk
+            nbr[lo:i + 1] = _nearest(rows_buf[:i + 1 - lo], k,
+                                     within_buf[:i + 1 - lo])
+    return sel, nbr
 
 
 def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors; (m, k) indices into ref, each row ordered
     by (squared distance, index).
 
-    Per chunk of queries: argpartition picks k candidates per row, which are
-    then ordered by (squared distance, index).  The candidates are the unique
-    answer unless more than k points lie within the k-th distance (a tie at
-    the k-th place); those rows alone take a full stable sort.
+    Per chunk of queries, the squared distances to every reference point go
+    through the partial selection of _nearest.
     """
     query = _points(query, "query")
     ref = _points(ref, "ref")
     n = ref.shape[0]
-    if k < 1 or k > n:
-        raise PcopsError(f"k={k} invalid for a reference cloud of {n}")
+    _check_k(k, n)
     ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
     chunk = max(1, min(query.shape[0], _KNN_CHUNK_ELEMS // n))
     d2_buf = np.empty((chunk, n))
@@ -113,20 +160,9 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     for lo in range(0, query.shape[0], chunk):
         q = query[lo:lo + chunk]
         rows = q.shape[0]
-        d2, tmp, within = d2_buf[:rows], tmp_buf[:rows], within_buf[:rows]
-        _sq_dists(q.T[:, :, None], ref_cols, d2, tmp)
-        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        cand.sort(axis=1)
-        cand_d2 = np.take_along_axis(d2, cand, axis=1)
-        # a stable sort of index-ordered candidates orders by (d2, index)
-        order = np.argsort(cand_d2, axis=1, kind="stable")
-        best = np.take_along_axis(cand, order, axis=1)
-        kth = cand_d2.max(axis=1, keepdims=True)
-        np.less_equal(d2, kth, out=within)
-        tied = np.flatnonzero(np.count_nonzero(within, axis=1) > k)
-        if tied.size:
-            best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        out[lo:lo + rows] = best
+        d2 = _sq_dists(q.T[:, :, None], ref_cols, d2_buf[:rows],
+                       tmp_buf[:rows])
+        out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows])
     return out
 
 
@@ -162,40 +198,21 @@ class SharedMLP:
     def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
                  ) -> T.Tensor:
         """The MLP over input rows that concat `parts` in order, without
-        building the concat.
-
-        The first layer is linear, so each part multiplies its own row block
-        of the first weight, and the bias is added once.  Without nbr every
-        part is per row.  With the (n, k) table nbr the rows are edges: a
-        rank-3 part is per edge (n, k, w) or per center (n, 1, w) and
-        broadcasts over the neighborhood; a rank-2 part is per reference
-        point (n_ref, w), projected once per point and gathered by nbr.
+        building the concat: the first layer is T.dense over the parts (with
+        the (n, k) table nbr a rank-2 part is per reference point and
+        gathered by it), each later layer T.dense over the one before.
         Equals the MLP on the concat up to summation order.
         """
-        weight, bias = self.layers[0]
-        w = weight.tensor()
         widths = [p.shape[-1] for p in parts]
-        if sum(widths) != w.shape[0]:
+        rows = self.layers[0][0].value.shape[0]
+        if sum(widths) != rows:
             raise PcopsError(f"input widths {widths} do not sum to the "
-                             f"first layer's {w.shape[0]} rows")
-        x, lo, b = None, 0, bias.tensor()
-        for part, width in zip(parts, widths):
-            proj = T.matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
-            if part.data.ndim == 2:
-                if b is not None:  # before any gather: per point, not per edge
-                    proj, b = T.add(proj, b), None
-                if nbr is not None:
-                    proj = T.gather_rows(proj, nbr)
-            x = proj if x is None else T.add(x, proj)
-            lo += width
-        if b is not None:
-            x = T.add(x, b)
+                             f"first layer's {rows} rows")
         last = len(self.layers) - 1
         for i, (weight, bias) in enumerate(self.layers):
-            if i:
-                x = T.add(T.matmul(x, weight.tensor()), bias.tensor())
-            if i < last or self.relu_last:
-                x = T.relu(x)
+            x = T.dense(weight.tensor(), bias.tensor(), *parts, nbr=nbr,
+                        relu=i < last or self.relu_last)
+            parts, nbr = (x,), None
         return x
 
 
@@ -220,24 +237,24 @@ class FcStack:
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         for weight, bias in self.layers:
-            x = T.add(T.matmul(x, weight.tensor()), bias.tensor())
+            x = T.dense(weight.tensor(), bias.tensor(), x, relu=False)
         return x
 
 
 def set_conv(coords: T.Tensor, feats: T.Tensor | None,
-             center_idx: np.ndarray, k: int, mlp: SharedMLP
+             center_idx: np.ndarray, nbr: np.ndarray, mlp: SharedMLP
              ) -> tuple[T.Tensor, T.Tensor]:
     """Sampled local aggregation.
 
-    For each center, gather its k nearest input points and max-pool the
-    shared MLP over the neighborhood.  The MLP's input per edge is
-    (neighbor - center, neighbor features, center features); its first
+    nbr is the (m, k) table of each center's nearest input points, as
+    farthest_point_sample returns it with the centers.  For each center,
+    max-pool the shared MLP over its k neighbors.  The MLP's input per edge
+    is (neighbor - center, neighbor features, center features); its first
     layer runs factorized (SharedMLP with nbr): offsets per edge, neighbor
     features projected once per input point and gathered, center features
     projected once per center.  Returns (center coords, features).
     """
     centers = np.asarray(center_idx, dtype=np.int64)
-    nbr = knn_indices(coords.data[centers], coords.data, k)
     out_coords = T.gather_rows(coords, centers)
     m = centers.shape[0]
     parts = [T.sub(T.gather_rows(coords, nbr),

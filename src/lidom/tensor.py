@@ -3,17 +3,19 @@
 A Tape records every op applied while it is active; backward() replays the
 record in reverse and accumulates gradients into the leaves.  Ops called with
 no active tape run eagerly and return constant tensors, so inference runs the
-same code as training and records nothing.
+same code as training and records nothing.  Eager ops also compute only their
+output: state that only backward reads (reduce_max's argmax, dense's relu
+mask) is built while a tape records and never otherwise.
 
 A tape holds only what its backward reads (op closures keep arrays and
 shapes, never a Tensor; backward keeps leaf gradients only) and parameters
 never point at it, so reference counting frees it once its caller lets go.
 
 The op set is exactly what the odometry network needs: broadcasting
-elementwise arithmetic, relu/sqrt, matmul of a rank 2 or 3 array by a rank-2
-matrix, axis softmax, sum and per-axis max reductions, reshape, and row
-gathers with scatter-add gradients.  Everything is double precision end
-to end.
+elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
+matrix, dense (a whole MLP layer, relu(concat(parts) @ w + b), as one op),
+axis softmax, sum and per-axis max reductions, reshape, and row gathers with
+scatter-add gradients.  Everything is double precision end to end.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
-    "const", "add", "sub", "mul", "div", "relu", "sqrt",
-    "matmul", "softmax_axis", "reduce_sum", "reduce_max", "reshape",
+    "const", "add", "sub", "mul", "div", "sqrt",
+    "matmul", "dense", "softmax_axis", "reduce_sum", "reduce_max", "reshape",
     "gather_rows", "save_params", "load_params",
 ]
 
@@ -226,6 +228,11 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         ) from None
 
 
+def _check_rows(op: str, idx: np.ndarray, n: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise TensorError(f"{op}: index out of range for first dimension {n}")
+
+
 # --- elementwise ---
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -261,11 +268,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(-g * ad / (bd * bd), bd.shape)))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _make("relu", (a,), a.data * mask, lambda g: (g * mask,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     # subgradient 0 at exactly 0, so norms of zero vectors stay finite
@@ -296,12 +298,93 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", (a, b), out, back)
 
 
+def dense(w: Tensor, b: Tensor, *parts: Tensor, nbr=None,
+          relu: bool = True) -> Tensor:
+    """One layer, relu?(concat(parts) @ w + b), as one op and without the
+    concat.
+
+    Each part multiplies its own row block of w (a view).  Without nbr
+    every part is per row, (n, width).  With the (n, k) table nbr the rows
+    are edges: a rank-3 part is per edge (n, k, width) or per centre
+    (n, 1, width) and broadcasts over the neighbourhood; a rank-2 part is
+    per reference point (n_ref, width), projected once per point and then
+    gathered by nbr.  The bias is added once, to the first rank-2 part's
+    projection (per point, before any gather) if there is one, else to the
+    sum.  The parts accumulate in place into the first projection and the
+    relu, max(x, 0.0), runs in place, so the layer allocates its output and
+    nothing else per edge.  Equals the layer on the concat up to summation
+    order.
+    """
+    wd, bd = w.data, b.data
+    widths = [p.data.shape[-1] for p in parts]
+    if wd.ndim != 2 or sum(widths) != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise TensorError(f"dense: parts of widths {widths} and bias "
+                          f"{bd.shape} do not fit weight {wd.shape}")
+    if any(p.data.ndim not in (2, 3) for p in parts):
+        raise TensorError("dense: parts must have rank 2 or 3")
+    c = wd.shape[1]
+    if nbr is not None:
+        nbr = np.asarray(nbr, dtype=np.int64)
+    gathered = [nbr is not None and p.data.ndim == 2 for p in parts]
+    shapes = [nbr.shape + (c,) if gat else p.data.shape[:-1] + (c,)
+              for p, gat in zip(parts, gathered)]
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise TensorError(f"dense: part rows {[s[:-1] for s in shapes]} "
+                          f"do not broadcast") from None
+    bias_at = next((j for j, p in enumerate(parts) if p.data.ndim == 2), None)
+    bounds = np.cumsum([0] + widths)
+    out = None
+    for j, part in enumerate(parts):
+        proj = np.matmul(part.data, wd[bounds[j]:bounds[j + 1]])
+        if j == bias_at:
+            proj += bd
+        if gathered[j]:
+            _check_rows("dense", nbr, proj.shape[0])
+            proj = np.take(proj, nbr, axis=0)
+        if out is None:
+            out = proj if proj.shape == shape else \
+                np.broadcast_to(proj, shape).copy()
+        else:
+            out += proj
+    if bias_at is None:
+        out += bd
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if _current_tape((w, b) + parts) is None:
+        return Tensor(out)
+    mask = out > 0.0 if relu else None
+    datas = [p.data for p in parts]
+
+    def back(g):
+        if mask is not None:
+            g = g * mask
+        gw = np.empty(wd.shape)
+        gb = _unbroadcast(g, bd.shape) if bias_at is None else None
+        gparts = []
+        for j, pd in enumerate(datas):
+            lo, hi = bounds[j], bounds[j + 1]
+            gj = _unbroadcast(g, shapes[j])
+            if gathered[j]:
+                ga = np.zeros((pd.shape[0], c))
+                np.add.at(ga, nbr.reshape(-1), gj.reshape(-1, c))
+                gj = ga
+            if j == bias_at:
+                gb = _unbroadcast(gj, bd.shape)
+            gparts.append(np.matmul(gj, wd[lo:hi].T))
+            gw[lo:hi] = pd.reshape(-1, hi - lo).T @ gj.reshape(-1, c)
+        return (gw, gb, *gparts)
+
+    return _make("dense", (w, b) + parts, out, back)
+
+
 # --- softmax / reductions ---
 
 def softmax_axis(a: Tensor, axis: int) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def back(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -325,6 +408,8 @@ def reduce_sum(a: Tensor, axis: int | None = None,
 def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; gradient flows to the first (lowest-index) argmax."""
     out = a.data.max(axis=axis)
+    if _current_tape((a,)) is None:
+        return Tensor(out)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # first index on ties
     shape = a.data.shape
 
@@ -354,11 +439,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     tables gather straight to (n, k, c) groups).  The gradient scatter-adds
     rows picked more than once."""
     idx = np.asarray(indices, dtype=np.int64)
-    n = a.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise TensorError(
-            f"gather_rows: index out of range for first dimension {n}")
-    out = a.data[idx]
+    _check_rows("gather_rows", idx, a.data.shape[0])
+    out = np.take(a.data, idx, axis=0)
     shape = a.data.shape
 
     def back(g):

@@ -1,0 +1,132 @@
+"""T.dense, one MLP layer as one op: finite-difference gradients for every
+kind of part, and bit-identity with the op chain it replaced.
+
+The oracle, `layer_chain`, is that chain: per part a matmul by the weight's
+row block cut out with gather_rows, the bias added once, then relu as
+a * (a > 0).  dense sums the same products in the same order, so outputs
+and every gradient agree bit for bit, except that its in-place relu writes
++0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits` compares
+with the sign of zero cleared.
+"""
+import numpy as np
+import pytest
+
+from conftest import finite_diff, grad_gap
+from lidom import tensor as T
+
+N, K, N_REF, C = 6, 4, 5, 3
+# one repeated index inside a row and rows that share indices, so the
+# gathered part's scatter-add sums several edges into one point
+NBR = np.array([[0, 1, 1, 4], [2, 2, 3, 0], [4, 3, 2, 1],
+                [0, 0, 0, 0], [1, 4, 4, 2], [3, 1, 0, 2]])
+
+# part layouts the network feeds, as (shape, gathered); widths vary
+EDGE, CENTRE, POINT = (N, K, 2), (N, 1, 3), (N_REF, 4)
+LAYOUTS = {
+    "set_conv": ([EDGE, POINT, CENTRE], NBR),
+    "cost_volume": ([EDGE, (N, K, 1), CENTRE, POINT], NBR),
+    "set_upconv": ([EDGE, POINT], NBR),
+    "edge_only": ([EDGE], NBR),
+    "centre_first": ([CENTRE, EDGE], NBR),
+    "rows": ([(N, 2), (N, 4), (N, 1)], None),
+    "one_row_part": ([(N, 5)], None),
+    "per_edge_hidden": ([(N, K, 5)], None),
+}
+
+
+def layer_chain(w, b, *parts, nbr=None, relu=True):
+    x, lo, bias = None, 0, b
+    for part in parts:
+        width = part.shape[-1]
+        proj = T.matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
+        if part.data.ndim == 2:
+            if bias is not None:
+                proj, bias = T.add(proj, bias), None
+            if nbr is not None:
+                proj = T.gather_rows(proj, nbr)
+        x = proj if x is None else T.add(x, proj)
+        lo += width
+    if bias is not None:
+        x = T.add(x, bias)
+    return T.mul(x, T.const(x.data > 0.0)) if relu else x
+
+
+def _inputs(layout, seed=0):
+    shapes, nbr = LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    parts = [rng.normal(size=s) for s in shapes]
+    w = rng.normal(size=(sum(s[-1] for s in shapes), C))
+    b = rng.normal(size=C)
+    return w, b, parts, nbr
+
+
+def _run(op, w, b, parts, nbr, relu):
+    """op under a tape, read out through a fixed random projection; returns
+    (output, loss, [grad of w, grad of b, grads of the parts])."""
+    with T.Tape() as tp:
+        ts = [T.const(a) for a in [w, b] + parts]
+        out = op(*ts, nbr=nbr, relu=relu)
+        proj = np.random.default_rng(99).normal(size=out.shape)
+        loss = T.reduce_sum(T.mul(out, T.const(proj)))
+    tp.backward(loss)
+    return out.data, loss.item(), [tp.grad(t) for t in ts]
+
+
+def _bits(a):
+    return (np.asarray(a) + 0.0).tobytes()   # -0.0 + 0.0 is +0.0
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_dense_gradients_match_central_differences(layout, relu):
+    w, b, parts, nbr = _inputs(layout)
+    _, _, grads = _run(T.dense, w, b, parts, nbr, relu)
+    arrays = [w, b] + parts
+    for i, (x, g) in enumerate(zip(arrays, grads)):
+        def f(v, i=i):
+            moved = list(arrays)
+            moved[i] = v
+            return _run(T.dense, *moved[:2], moved[2:], nbr, relu)[1]
+        assert grad_gap(g, finite_diff(f, x)) < 1e-4, i
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_dense_is_bit_identical_to_the_op_chain(layout, relu):
+    w, b, parts, nbr = _inputs(layout, seed=1)
+    out, loss, grads = _run(T.dense, w, b, parts, nbr, relu)
+    want, want_loss, want_grads = _run(layer_chain, w, b, parts, nbr, relu)
+    assert _bits(out) == _bits(want)
+    assert loss == want_loss
+    for g, wg in zip(grads, want_grads):
+        assert _bits(g) == _bits(wg)
+    # eager computes no mask and records nothing, and gives the same bits
+    eager = T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr, relu=relu)
+    assert eager.tape is None
+    assert eager.data.tobytes() == out.tobytes()
+
+
+def test_dense_records_one_node_with_a_bool_mask():
+    w, b, parts, nbr = _inputs("set_conv")
+    with T.Tape() as tp:
+        T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
+    kinds = [node.kind for node in tp.nodes]
+    assert kinds.count("dense") == 1 and set(kinds) == {"leaf", "dense"}
+    cells = [c.cell_contents for c in tp.nodes[-1].backward_fn.__closure__]
+    masks = [c for c in cells if isinstance(c, np.ndarray) and c.dtype == bool]
+    assert len(masks) == 1 and masks[0].shape == (N, K, C)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda w, b, ps, nbr: (w[:-1], b, ps, nbr), "do not fit"),
+    (lambda w, b, ps, nbr: (w, b[:-1], ps, nbr), "do not fit"),
+    (lambda w, b, ps, nbr: (w, b, ps, nbr + 1), "out of range"),
+    (lambda w, b, ps, nbr: (w, b, ps, -nbr), "out of range"),
+    (lambda w, b, ps, nbr: (w, b, ps, nbr[:-1]), "do not broadcast"),
+    (lambda w, b, ps, nbr: (w, b, [ps[0][None]] + ps[1:], nbr), "rank 2 or 3"),
+], ids=["weight-rows", "bias", "index-high", "index-negative", "table-rows",
+        "rank-4-part"])
+def test_dense_rejects_mismatched_inputs(bad, match):
+    w, b, parts, nbr = bad(*_inputs("set_conv"))
+    with pytest.raises(T.TensorError, match=match):
+        T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr)

@@ -33,6 +33,7 @@ def concat(parts):
 
 
 def set_conv_concat(coords, feats, centers, k, mlp):
+    # the neighbour table from a KNN of its own, not from FPS
     nbr = P.knn_indices(coords.data[centers], coords.data, k)
     ctr = np.broadcast_to(centers[:, None], nbr.shape)
     parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
@@ -133,9 +134,9 @@ def test_set_conv_matches_the_concat_oracle(c_in):
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 3 + 2 * c_in, [7, 6], seed=1)
     _offset_biases(store)
-    centers = P.farthest_point_sample(coords, 12)
+    centers, nbr = P.farthest_point_sample(coords, 12, 5)
     _assert_matches_oracle(
-        lambda c, f: P.set_conv(c, f, centers, 5, mlp)[1],
+        lambda c, f: P.set_conv(c, f, centers, nbr, mlp)[1],
         lambda c, f: set_conv_concat(c, f, centers, 5, mlp),
         store, [coords, feats])
 
@@ -188,14 +189,14 @@ def test_set_conv_rejects_features_narrower_than_its_mlp():
     coords = rng.normal(size=(20, 3))
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 3 + 2 * 5, [6], seed=0)
-    centers = P.farthest_point_sample(coords, 6)
+    centers, nbr = P.farthest_point_sample(coords, 6, 4)
     P.set_conv(T.const(coords), T.const(rng.normal(size=(20, 5))),
-               centers, 4, mlp)
+               centers, nbr, mlp)
     with pytest.raises(P.PcopsError, match=r"\[3, 4, 4\] do not sum to .* 13"):
         P.set_conv(T.const(coords), T.const(rng.normal(size=(20, 4))),
-                   centers, 4, mlp)
+                   centers, nbr, mlp)
     with pytest.raises(P.PcopsError, match="do not sum"):
-        P.set_conv(T.const(coords), None, centers, 4, mlp)
+        P.set_conv(T.const(coords), None, centers, nbr, mlp)
 
 
 def test_set_upconv_rejects_sparse_features_of_the_wrong_width():

@@ -120,7 +120,7 @@ def _refine_setup(seed=0, n=10, m=4, c=3, with_mask=True, with_prior=True):
     feats1 = rng.normal(size=(n, c))
     coords2 = coords1 + 0.1 * rng.normal(size=(n, 3))
     feats2 = rng.normal(size=(n, c))
-    sparse_idx = P.farthest_point_sample(coords1, m)
+    sparse_idx, _ = P.farthest_point_sample(coords1, m, 1)
     sparse_coords = coords1[sparse_idx]
     sparse_emb = rng.normal(size=(m, c))
     sparse_mask = np.abs(rng.normal(size=(m, c)))

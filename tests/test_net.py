@@ -111,6 +111,26 @@ def test_ablation_forward_and_parameters(overrides, gone):
     assert _poses(again).tobytes() == poses.tobytes()
 
 
+@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
+                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+def test_eager_forward_equals_taped_bit_for_bit(overrides):
+    # eager ops skip what only backward reads (argmaxes, relu masks); what
+    # they compute must not differ
+    net = OdometryNet(desk_config(**overrides))
+    pc1, pc2 = _scans()
+    eager = net.forward(pc1, pc2)
+    with T.Tape() as tape:
+        taped = net.forward(pc1, pc2)
+    assert len(tape.nodes) > 0
+    for e, t in zip(eager.levels, taped.levels, strict=True):
+        assert e.q.tape is None and t.q.tape is tape
+        for a, b in ((e.q, t.q), (e.t, t.t), (e.embedding, t.embedding),
+                     (e.mask, t.mask)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_no_warp_changes_the_refined_poses():
     full = _poses(OdometryNet(desk_config()).forward(*_scans()))
     no_warp = _poses(OdometryNet(desk_config(use_warp=False))

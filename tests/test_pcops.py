@@ -40,18 +40,18 @@ def knn_oracle(query, ref, k):
 
 def test_fps_unit_square_corners():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    assert P.farthest_point_sample(pts, 2).tolist() == [0, 2]
+    assert P.farthest_point_sample(pts, 2, 1)[0].tolist() == [0, 2]
 
 
 def test_fps_collinear():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [10, 0, 0]])
-    assert P.farthest_point_sample(pts, 2).tolist() == [0, 2]
+    assert P.farthest_point_sample(pts, 2, 1)[0].tolist() == [0, 2]
 
 
 def test_fps_tie_breaks_to_lowest_index():
     # both side points are exactly 1 away from the start; lower index wins
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [-1, 0, 0]])
-    assert P.farthest_point_sample(pts, 2).tolist() == [0, 1]
+    assert P.farthest_point_sample(pts, 2, 1)[0].tolist() == [0, 1]
 
 
 @given(seeds, st.integers(min_value=2, max_value=40))
@@ -60,16 +60,16 @@ def test_fps_matches_oracle(seed, n):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     m = int(rng.integers(1, n + 1))
-    got = P.farthest_point_sample(pts, m)
+    got, _ = P.farthest_point_sample(pts, m, 1)
     assert got.tolist() == fps_oracle(pts, m)
     assert len(set(got.tolist())) == m
 
 
 def test_fps_rejects_oversample():
     with pytest.raises(P.PcopsError):
-        P.farthest_point_sample(np.zeros((3, 3)), 4)
+        P.farthest_point_sample(np.zeros((3, 3)), 4, 1)
     with pytest.raises(P.PcopsError):
-        P.farthest_point_sample(np.zeros((3, 3)), 0)
+        P.farthest_point_sample(np.zeros((3, 3)), 0, 1)
 
 
 @given(seeds, st.integers(min_value=1, max_value=30),
@@ -137,10 +137,48 @@ def test_fps_matches_oracle_with_duplicates(seed, n, m):
     distinct = len(np.unique(pts, axis=0))
     if m > distinct:
         with pytest.raises(P.PcopsError, match=f"{distinct} distinct"):
-            P.farthest_point_sample(pts, m)
+            P.farthest_point_sample(pts, m, 1)
     else:
-        got = P.farthest_point_sample(pts, m)
+        got, _ = P.farthest_point_sample(pts, m, 1)
         assert got.tolist() == fps_oracle(pts, m)
+
+
+# FPS's neighbour table comes from its own distance rows, kept in chunks of
+# 65536 // n picks; on duplicate-heavy grids it must still equal a separate
+# KNN, ties at the k-th place included.  The pinned examples cross chunk
+# boundaries (chunks of 65 and 54 picks), one of them with k == n.
+@given(seeds, st.integers(min_value=1, max_value=1200),
+       st.integers(min_value=1, max_value=200), st.booleans())
+@example(seed=0, n=1000, m=125, k_is_n=True)
+@example(seed=1, n=1200, m=125, k_is_n=False)
+@settings(max_examples=30, deadline=None)
+def test_fps_table_matches_knn_on_duplicate_grid(seed, n, m, k_is_n):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 5, size=(n, 3)).astype(np.float64)
+    m = min(m, len(np.unique(pts, axis=0)))
+    k = n if k_is_n else int(rng.integers(1, n + 1))
+    centers, nbr = P.farthest_point_sample(pts, m, k)
+    assert centers.tolist() == fps_oracle(pts, m)
+    assert nbr.tolist() == P.knn_indices(pts[centers], pts, k).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 26, 343])
+def test_fps_table_when_every_point_is_picked(k):
+    # m == n on a 7x7x7 lattice: 343 picks cross the 191-pick chunk, and
+    # every lattice neighbourhood is full of distance ties
+    axis = np.arange(7.0)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    centers, nbr = P.farthest_point_sample(pts, len(pts), k)
+    assert sorted(centers.tolist()) == list(range(len(pts)))
+    assert nbr.tolist() == P.knn_indices(pts[centers], pts, k).tolist()
+
+
+def test_fps_rejects_bad_k():
+    pts = np.arange(12.0).reshape(4, 3)
+    for k in (0, -1, 5):
+        with pytest.raises(P.PcopsError, match=f"k={k} invalid"):
+            P.farthest_point_sample(pts, 2, k)
 
 
 @pytest.mark.parametrize("bad", [
@@ -154,7 +192,7 @@ def test_knn_and_fps_reject_bad_coordinates(bad):
     with pytest.raises(P.PcopsError):
         P.knn_indices(good, bad, 1)
     with pytest.raises(P.PcopsError):
-        P.farthest_point_sample(bad, 1)
+        P.farthest_point_sample(bad, 1, 1)
 
 
 def test_random_sample_replacement_rule():
@@ -185,10 +223,10 @@ def test_set_conv_shapes_and_determinism():
     feats = rng.normal(size=(30, 5))
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 3 + 2 * 5, [8, 6])
-    centers = P.farthest_point_sample(coords, 10)
+    centers, nbr = P.farthest_point_sample(coords, 10, 4)
 
     def run():
-        c, f = P.set_conv(T.const(coords), T.const(feats), centers, 4, mlp)
+        c, f = P.set_conv(T.const(coords), T.const(feats), centers, nbr, mlp)
         return c.data, f.data
 
     c1, f1 = run()
@@ -203,8 +241,8 @@ def test_set_conv_first_layer_without_features():
     coords = rng.normal(size=(20, 3))
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 3, [4])
-    centers = P.farthest_point_sample(coords, 6)
-    _, f = P.set_conv(T.const(coords), None, centers, 3, mlp)
+    centers, nbr = P.farthest_point_sample(coords, 6, 3)
+    _, f = P.set_conv(T.const(coords), None, centers, nbr, mlp)
     assert f.shape == (6, 4)
 
 
@@ -216,10 +254,11 @@ def test_set_conv_translation_invariant_features():
     feats = rng.normal(size=(25, 4))
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 3 + 2 * 4, [6])
-    centers = P.farthest_point_sample(coords, 8)
-    _, f0 = P.set_conv(T.const(coords), T.const(feats), centers, 4, mlp)
+    centers, nbr = P.farthest_point_sample(coords, 8, 4)
+    _, f0 = P.set_conv(T.const(coords), T.const(feats), centers, nbr, mlp)
     shifted = coords + np.array([5.0, -3.0, 2.0])
-    _, f1 = P.set_conv(T.const(shifted), T.const(feats), centers, 4, mlp)
+    nbr_s = P.knn_indices(shifted[centers], shifted, 4)
+    _, f1 = P.set_conv(T.const(shifted), T.const(feats), centers, nbr_s, mlp)
     assert np.allclose(f0.data, f1.data, atol=1e-12)
 
 
@@ -229,14 +268,14 @@ def test_set_conv_gradients():
     feats = rng.normal(size=(12, 3))
     store = T.ParamStore()
     mlp = _mlp(store, "sc", 9, [5], seed=7)
-    centers = P.farthest_point_sample(coords, 5)
+    centers, nbr = P.farthest_point_sample(coords, 5, 4)
     w_name = "sc/0/W"
 
     def run(fv, wv):
         store[w_name].value = wv
         with T.Tape() as tp:
             tf = T.const(fv)
-            _, out = P.set_conv(T.const(coords), tf, centers, 4, mlp)
+            _, out = P.set_conv(T.const(coords), tf, centers, nbr, mlp)
             loss = T.reduce_sum(T.mul(out, out))
         grads = tp.backward(loss, store)
         return loss, tp, tf, grads

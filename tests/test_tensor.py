@@ -71,10 +71,12 @@ def test_grad_div():
 
 
 def test_grad_relu():
-    # offset away from the kink so central differences are valid
+    # relu alone: a dense layer with an identity weight and a zero bias,
+    # inputs offset away from the kink so central differences are valid
     x = np.random.default_rng(5).normal(size=(6, 3))
     x[np.abs(x) < 1e-3] = 0.5
-    _check_unary(T.relu, x)
+    _check_unary(lambda t: T.dense(T.const(np.eye(3)), T.const(np.zeros(3)),
+                                   t), x)
 
 
 def test_grad_sqrt():
@@ -176,15 +178,16 @@ def test_reshape_to_another_size_raises():
 
 
 def test_composite_chain_close_to_real_use():
-    # matmul -> relu -> softmax -> weighted sum, checked end to end
+    # dense (matmul + bias + relu) -> softmax -> weighted sum, end to end
     rng = np.random.default_rng(20)
     w = rng.normal(size=(4, 3))
     x = rng.normal(size=(5, 4))
+    b = rng.normal(size=3)
 
     def run(wv):
         with T.Tape() as tp:
             tw = T.const(wv)
-            h = T.relu(T.matmul(T.const(x), tw))
+            h = T.dense(tw, T.const(b), T.const(x))
             a = T.softmax_axis(h, axis=0)
             loss = T.reduce_sum(T.mul(a, h))
         tp.backward(loss)
