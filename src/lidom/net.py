@@ -210,11 +210,13 @@ class OdometryNet:
                            if with_prior else None),
                 )
 
-    def _run_pyramid(self, name: str, pts: np.ndarray) -> _Pyramid:
+    def _run_pyramid(self, name: str, pts: np.ndarray,
+                     depth: int = 4) -> _Pyramid:
+        """The first `depth` pyramid levels of one cloud."""
         out = _Pyramid()
         coords = T.const(pts)
         feats: T.Tensor | None = None
-        for i, (n, _) in enumerate(self.cfg.levels()):
+        for i, (n, _) in enumerate(self.cfg.levels()[:depth]):
             try:
                 centers, nbr = farthest_point_sample(coords.data, n,
                                                      self.cfg.knn_k)
@@ -242,7 +244,10 @@ class OdometryNet:
         sub2 = pc2[random_sample(pc2.shape[0], cfg.n_input, rng)]
 
         p1 = self._run_pyramid("pc1", sub1)
-        p2 = self._run_pyramid("pc2", sub2)
+        # pc2's coarsest level is read only by a last-level first embedding:
+        # the penultimate one and every refinement step use levels 3-1
+        p2 = self._run_pyramid("pc2", sub2,
+                               4 if cfg.first_embedding == "last" else 3)
 
         if cfg.first_embedding == "penultimate":
             e3 = self.cv_init(p1.coords[2], p1.feats[2],

@@ -21,9 +21,10 @@ concatenating (offset, neighbor features, center features) per edge and
 multiplying by the first weight, each part multiplies its own row block of
 that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
-summation order.  Every layer is one T.dense op.  Shared MLPs apply relu on
-every layer; the FC stacks used by pose heads elsewhere do not (see
-headmask).
+summation order.  Every SharedMLP call is one T.mlp op, whose backward
+recomputes the hidden layers, and every FcStack layer one T.dense op.
+Shared MLPs apply relu on every layer; the FC stacks used by pose heads
+elsewhere do not (see headmask).
 """
 from __future__ import annotations
 
@@ -198,9 +199,9 @@ class SharedMLP:
     def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
                  ) -> T.Tensor:
         """The MLP over input rows that concat `parts` in order, without
-        building the concat: the first layer is T.dense over the parts (with
-        the (n, k) table nbr a rank-2 part is per reference point and
-        gathered by it), each later layer T.dense over the one before.
+        building the concat, as one T.mlp op: the first layer runs over the
+        parts (with the (n, k) table nbr a rank-2 part is per reference
+        point and gathered by it), each later layer over the one before.
         Equals the MLP on the concat up to summation order.
         """
         widths = [p.shape[-1] for p in parts]
@@ -208,12 +209,8 @@ class SharedMLP:
         if sum(widths) != rows:
             raise PcopsError(f"input widths {widths} do not sum to the "
                              f"first layer's {rows} rows")
-        last = len(self.layers) - 1
-        for i, (weight, bias) in enumerate(self.layers):
-            x = T.dense(weight.tensor(), bias.tensor(), *parts, nbr=nbr,
-                        relu=i < last or self.relu_last)
-            parts, nbr = (x,), None
-        return x
+        return T.mlp([(w.tensor(), b.tensor()) for w, b in self.layers],
+                     *parts, nbr=nbr, relu_last=self.relu_last)
 
 
 class FcStack:

@@ -1,12 +1,15 @@
-"""T.dense, one MLP layer as one op: finite-difference gradients for every
-kind of part, and bit-identity with the op chain it replaced.
+"""T.dense, one MLP layer as one op, and T.mlp, a whole shared MLP as one
+op: finite-difference gradients for every kind of part, and bit-identity
+with the op chains they replaced.
 
-The oracle, `layer_chain`, is that chain: per part a matmul by the weight's
-row block cut out with gather_rows, the bias added once, then relu as
-a * (a > 0).  dense sums the same products in the same order, so outputs
+The oracle for dense, `layer_chain`, is that chain: per part a matmul by the
+weight's row block cut out with gather_rows, the bias added once, then relu
+as a * (a > 0).  dense sums the same products in the same order, so outputs
 and every gradient agree bit for bit, except that its in-place relu writes
 +0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits` compares
-with the sign of zero cleared.
+with the sign of zero cleared.  The oracle for mlp is the chain of dense
+calls it replaced, one per layer; mlp recomputes the hidden layers in its
+backward by the same code, so there the bits agree exactly.
 """
 import numpy as np
 import pytest
@@ -130,3 +133,117 @@ def test_dense_rejects_mismatched_inputs(bad, match):
     w, b, parts, nbr = bad(*_inputs("set_conv"))
     with pytest.raises(T.TensorError, match=match):
         T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
+
+
+# hidden widths of the stacks, distinct from C and from every part width
+HIDDEN = (7, 5)
+
+
+def _stack_inputs(layout, depth, seed=0):
+    """A depth-layer stack's (weight, bias) arrays over a layout's parts."""
+    _, _, parts, nbr = _inputs(layout, seed)
+    rng = np.random.default_rng(seed + 100)
+    widths = [sum(p.shape[-1] for p in parts), *HIDDEN[:depth - 1], C]
+    layers = [(rng.normal(size=(a, c)) / np.sqrt(a), rng.normal(size=c))
+              for a, c in zip(widths, widths[1:])]
+    return layers, parts, nbr
+
+
+def dense_chain(layers, *parts, nbr=None, relu_last=True):
+    x = parts
+    for i, (w, b) in enumerate(layers):
+        x = (T.dense(w, b, *x, nbr=nbr if i == 0 else None,
+                     relu=i < len(layers) - 1 or relu_last),)
+    return x[0]
+
+
+def _run_stack(op, layers, parts, nbr, relu_last):
+    """op over a stack under a tape, read out through a fixed random
+    projection; returns (output, loss, grads of every weight, bias and
+    part, in that order)."""
+    with T.Tape() as tp:
+        ts = [T.const(a) for layer in layers for a in layer]
+        pts = [T.const(a) for a in parts]
+        out = op(list(zip(ts[::2], ts[1::2])), *pts, nbr=nbr,
+                 relu_last=relu_last)
+        proj = np.random.default_rng(99).normal(size=out.shape)
+        loss = T.reduce_sum(T.mul(out, T.const(proj)))
+    tp.backward(loss)
+    return out.data, loss.item(), [tp.grad(t) for t in ts + pts]
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_mlp_is_bit_identical_to_the_dense_chain(layout, depth, relu_last):
+    layers, parts, nbr = _stack_inputs(layout, depth, seed=2)
+    out, loss, grads = _run_stack(T.mlp, layers, parts, nbr, relu_last)
+    want, want_loss, want_grads = _run_stack(dense_chain, layers, parts, nbr,
+                                             relu_last)
+    assert out.tobytes() == want.tobytes()
+    assert loss == want_loss
+    assert len(grads) == 2 * depth + len(parts)
+    for g, wg in zip(grads, want_grads):
+        assert g.tobytes() == wg.tobytes()
+    eager = T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+                  *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+    assert eager.tape is None
+    assert eager.data.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+@pytest.mark.parametrize("layout", ["set_conv", "cost_volume", "rows"])
+def test_mlp_gradients_match_central_differences(layout, relu_last):
+    layers, parts, nbr = _stack_inputs(layout, 2)
+    _, _, grads = _run_stack(T.mlp, layers, parts, nbr, relu_last)
+    arrays = [a for layer in layers for a in layer] + parts
+
+    def loss_at(i, v):
+        moved = list(arrays)
+        moved[i] = v
+        stack = list(zip(moved[0:4:2], moved[1:4:2]))
+        return _run_stack(T.mlp, stack, moved[4:], nbr, relu_last)[1]
+
+    for i, (x, g) in enumerate(zip(arrays, grads)):
+        assert grad_gap(g, finite_diff(lambda v: loss_at(i, v), x)) < 1e-4, i
+
+
+def _closure_arrays(fn):
+    """Every array reachable from fn's closure cells, through containers
+    and nested closures."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif callable(o) and getattr(o, "__closure__", None):
+            todo.extend(c.cell_contents for c in o.__closure__)
+    return found
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+def test_mlp_records_one_node_that_keeps_no_hidden_layer(relu_last):
+    layers, parts, nbr = _stack_inputs("set_conv", 3)
+    with T.Tape() as tp:
+        T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+              *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+    kinds = [node.kind for node in tp.nodes]
+    assert kinds.count("mlp") == 1 and set(kinds) == {"leaf", "mlp"}
+    held = _closure_arrays(tp.nodes[-1].backward_fn)
+    hidden = {(N, K, h) for h in HIDDEN} | {(N_REF, h) for h in HIDDEN}
+    assert not [a.shape for a in held if a.shape in hidden]
+    masks = [a.shape for a in held if a.dtype == bool]
+    assert masks == ([(N, K, C)] if relu_last else [])
+    # what it keeps per edge is its parts, by reference, and that mask
+    per_edge = [a for a in held if a.ndim == 3 and a.dtype != bool]
+    assert all(any(a is p for p in parts) for a in per_edge)
+
+
+def test_mlp_rejects_an_empty_stack():
+    with pytest.raises(T.TensorError, match="at least one layer"):
+        T.mlp([], T.const(np.ones((N, C))))

@@ -1,14 +1,17 @@
 """Whole-network input guards, config validation, the paper's ablations,
-the tape's lifetime and a whole-network gradient check."""
+the work a forward does, the tape's lifetime and a whole-network gradient
+check."""
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
+import lidom.net
 from conftest import grad_gap
 from lidom import tensor as T
 from lidom.net import NetError, OdometryNet, desk_config
+from lidom.pcops import FcStack, SharedMLP
 
 
 def _scans(seed=0, n=600):
@@ -129,6 +132,42 @@ def test_eager_forward_equals_taped_bit_for_bit(overrides):
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.data.tobytes() == b.data.tobytes()
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("first, fps_calls", [("penultimate", 4 + 3),
+                                              ("last", 4 + 4)])
+def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
+                                                    fps_calls):
+    # a penultimate first embedding and every refinement step read pc2's
+    # levels 3-1 only, so its coarsest level is not built
+    fps = _counting(monkeypatch, lidom.net, "farthest_point_sample")
+    convs = _counting(monkeypatch, lidom.net, "set_conv")
+    OdometryNet(desk_config(first_embedding=first)).forward(*_scans())
+    assert len(fps) == fps_calls
+    # the penultimate embedding adds the carry set_conv to the pyramid's
+    assert len(convs) == fps_calls + (first == "penultimate")
+
+
+def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
+    mlps = _counting(monkeypatch, SharedMLP, "__call__")
+    fcs = _counting(monkeypatch, FcStack, "__call__")
+    tape = _train_step(OdometryNet(desk_config()), *_scans())[0]
+    kinds = [node.kind for node in tape.nodes]
+    assert kinds.count("mlp") == len(mlps) > 0
+    assert kinds.count("dense") == sum(len(fc.layers) for fc, *_ in fcs) > 0
 
 
 def test_no_warp_changes_the_refined_poses():

@@ -166,6 +166,24 @@ def test_grad_gather_rows_with_duplicates():
     _check_gather(x, np.array([[0, 2, 2], [4, 2, 0]]))
 
 
+@pytest.mark.parametrize("row", [(), (3,), (2, 2)])
+def test_gather_rows_scatter_adds_in_index_order(row):
+    # row 0 is picked four times and takes 1e16, 1, -1e16, 1: summed in that
+    # order they give 1, summed backwards 0
+    idx = np.array([[0, 1, 0], [0, 2, 0]])
+    g = np.random.default_rng(21).normal(size=idx.shape + row)
+    g[idx == 0] = np.array([1e16, 1.0, -1e16, 1.0]).reshape(
+        (4,) + (1,) * len(row))
+    want = np.zeros((3,) + row)
+    np.add.at(want, idx.reshape(-1), g.reshape((idx.size,) + row))
+    assert (want[0] == 1.0).all()
+    with T.Tape() as tp:
+        a = T.const(np.zeros((3,) + row))
+        loss = T.reduce_sum(T.mul(T.gather_rows(a, idx), T.const(g)))
+    tp.backward(loss)
+    assert tp.grad(a).tobytes() == want.tobytes()
+
+
 def test_grad_reshape():
     x = np.random.default_rng(19).normal(size=(6, 2))
     _check_unary(lambda t: T.reshape(t, (3, 4)), x,
