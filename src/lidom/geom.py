@@ -68,16 +68,13 @@ def quat_normalize_t(q: T.Tensor) -> T.Tensor:
     return q
 
 
-def rotate_points_t(q: T.Tensor, t: T.Tensor | None, pts: T.Tensor) -> T.Tensor:
+def rotate_points_t(q: T.Tensor, t: T.Tensor, pts: T.Tensor) -> T.Tensor:
     """Differentiable rotate(normalize(q), pts) + t for pts of shape (n, 3)."""
     q = quat_normalize_t(q)
     qq = T.reshape(T.mul(T.reshape(q, (4, 1)), q), (1, 16))
     # R^T, so the product pts @ rt applies R on the left
     rt = T.add(T.matmul(qq, T.const(_ROT_T)), T.const(_EYE_ROW))
-    out = T.matmul(pts, T.reshape(rt, (3, 3)))
-    if t is not None:
-        out = T.add(out, t)
-    return out
+    return T.add(T.matmul(pts, T.reshape(rt, (3, 3))), t)
 
 
 def pose_compose_t(dq: T.Tensor, dt: T.Tensor, q: T.Tensor,
@@ -85,6 +82,5 @@ def pose_compose_t(dq: T.Tensor, dt: T.Tensor, q: T.Tensor,
     """Refinement step q = dq q_c, t = R(dq) t_c + dt; both quaternions
     assumed unit."""
     q_out = quat_normalize_t(quat_mul_t(dq, q))
-    t_rot = rotate_points_t(dq, None, T.reshape(t, (1, 3)))
-    t_out = T.add(T.reshape(t_rot, (3,)), dt)
-    return q_out, t_out
+    t_out = rotate_points_t(dq, dt, T.reshape(t, (1, 3)))
+    return q_out, T.reshape(t_out, (3,))

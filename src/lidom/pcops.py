@@ -22,7 +22,7 @@ multiplying by the first weight, each part multiplies its own row block of
 that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
 summation order.  Every SharedMLP call is one T.mlp op, whose backward
-recomputes the hidden layers, and every FcStack layer one T.dense op.
+recomputes the hidden layers, and every FcStack layer a one-layer T.mlp.
 Shared MLPs apply relu on every layer; the FC stacks used by pose heads
 elsewhere do not (see headmask).
 """
@@ -234,7 +234,7 @@ class FcStack:
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         for weight, bias in self.layers:
-            x = T.dense(weight.tensor(), bias.tensor(), x, relu=False)
+            x = T.mlp([(weight.tensor(), bias.tensor())], x, relu_last=False)
         return x
 
 

@@ -4,8 +4,9 @@ A Tape records every op applied while it is active; backward() replays the
 record in reverse and accumulates gradients into the leaves.  Ops called with
 no active tape run eagerly and return constant tensors, so inference runs the
 same code as training and records nothing.  Eager ops also compute only their
-output: state that only backward reads (reduce_max's argmax, the relu masks
-of dense and mlp) is built while a tape records and never otherwise.
+output: state that only backward reads (reduce_max's argmax, mlp's relu
+mask) is built while a tape records and never otherwise.  One tape records
+at a time: entering a tape while another records raises TensorError.
 
 A tape holds only what its backward reads (op closures keep arrays and
 shapes, never a Tensor; backward keeps leaf gradients only) and parameters
@@ -15,8 +16,8 @@ than keeping them: they are the bulk of a training tape.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
-matrix, dense (one layer, relu(concat(parts) @ w + b), as one op), mlp (a
-whole shared MLP of such layers as one op), axis softmax, sum and per-axis
+matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
+shared MLP, or one layer of an FC stack), axis softmax, sum and per-axis
 max reductions, reshape, and row gathers with scatter-add gradients.
 Everything is double precision end to end.
 """
@@ -31,7 +32,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
     "const", "add", "sub", "mul", "div", "sqrt",
-    "matmul", "dense", "mlp", "softmax_axis", "reduce_sum", "reduce_max",
+    "matmul", "mlp", "softmax_axis", "reduce_sum", "reduce_max",
     "reshape", "gather_rows", "save_params", "load_params",
 ]
 
@@ -77,11 +78,12 @@ class _Node:
         self.shape = shape
 
 
-_ACTIVE: list["Tape"] = []
+_ACTIVE: Tape | None = None   # the one tape recording, if any
 
 
 class Tape:
-    """Ordered op record.  Single writer; enter to record, backward() later.
+    """Ordered op record.  Enter to record, backward() later; entering one
+    while another tape records raises TensorError.
 
     Leaving the context stops recording but keeps the node structure, so
     backward() and grad() work after exit.  Parameter leaves are keyed by
@@ -93,18 +95,19 @@ class Tape:
         self.nodes: list[_Node] = []
         self._grads: list[np.ndarray | None] | None = None
         self._param_leaves: dict[str, tuple[Tensor, int]] = {}
-        self.live = False
 
     def __enter__(self) -> "Tape":
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise TensorError("another tape is recording; tapes do not nest")
         if self.nodes:
             raise TensorError("tape already used; tapes are single-shot")
-        self.live = True
-        _ACTIVE.append(self)
+        _ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> None:
-        self.live = False
-        _ACTIVE.pop()
+        global _ACTIVE
+        _ACTIVE = None
 
     def _nid(self, t: Tensor) -> int | None:
         """t's node on this tape, or None if the tape has not seen it."""
@@ -120,8 +123,6 @@ class Tape:
         nid = self._nid(t)
         if nid is not None:
             return nid
-        if t.tape is not None and t.tape.live:
-            raise TensorError("tensor belongs to another live tape")
         nid = len(self.nodes)
         self.nodes.append(_Node("leaf", (), None, t.data.shape))
         if t.param_name is None:
@@ -194,20 +195,11 @@ class Tape:
         return g if g is not None else np.zeros(t.data.shape)
 
 
-def _current_tape(inputs: Sequence[Tensor]) -> Tape | None:
-    tape = _ACTIVE[-1] if _ACTIVE else None
-    for t in inputs:
-        if t.tape is not None and t.tape.live and t.tape is not tape:
-            raise TensorError("op mixes tensors from two different live tapes")
-    return tape
-
-
 def _make(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
-    tape = _current_tape(inputs)
-    if tape is not None:
-        tape._record(kind, inputs, out, backward_fn)
+    if _ACTIVE is not None:
+        _ACTIVE._record(kind, inputs, out, backward_fn)
     return out
 
 
@@ -296,7 +288,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, n) for a of rank 2 or 3 and a rank-2 b (a weight or a
-    constant map), so b's gradient is one GEMM over a's flattened rows."""
+    constant map), so b's gradient is one GEMM over a's flattened rows.
+
+    The network multiplies rank 2 only.  The rank-3 case stays for the
+    tests' op-chain oracle of mlp: np.matmul on an (n, k, w) array does not
+    always give the bits of the same product over its (n * k, w) rows."""
     ad, bd = a.data, b.data
     if ad.ndim not in (2, 3) or bd.ndim != 2:
         raise TensorError(f"matmul: needs ranks 2 or 3 by 2, "
@@ -313,17 +309,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", (a, b), out, back)
 
 
-def _layer_plan(op: str, wd: np.ndarray, bd: np.ndarray,
+def _layer_plan(wd: np.ndarray, bd: np.ndarray,
                 part_shapes: list[tuple[int, ...]], nbr) -> tuple:
     """Check one layer's weight, bias, part shapes and table; return
     (bounds, gathered, proj_shapes, out_shape, bias_at, nbr), all that its
     forward and backward need besides the arrays."""
     widths = [s[-1] for s in part_shapes]
     if wd.ndim != 2 or sum(widths) != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise TensorError(f"{op}: parts of widths {widths} and bias "
+        raise TensorError(f"mlp: parts of widths {widths} and bias "
                           f"{bd.shape} do not fit weight {wd.shape}")
     if any(len(s) not in (2, 3) for s in part_shapes):
-        raise TensorError(f"{op}: parts must have rank 2 or 3")
+        raise TensorError("mlp: parts must have rank 2 or 3")
     c = wd.shape[1]
     gathered = [nbr is not None and len(s) == 2 for s in part_shapes]
     shapes = [nbr.shape + (c,) if gat else s[:-1] + (c,)
@@ -331,11 +327,11 @@ def _layer_plan(op: str, wd: np.ndarray, bd: np.ndarray,
     try:
         shape = np.broadcast_shapes(*shapes)
     except ValueError:
-        raise TensorError(f"{op}: part rows {[s[:-1] for s in shapes]} "
+        raise TensorError(f"mlp: part rows {[s[:-1] for s in shapes]} "
                           f"do not broadcast") from None
     for s, gat in zip(part_shapes, gathered):
         if gat:
-            _check_rows(op, nbr, s[0])
+            _check_rows("mlp", nbr, s[0])
     bias_at = next((j for j, s in enumerate(part_shapes) if len(s) == 2),
                    None)
     return np.cumsum([0] + widths), gathered, shapes, shape, bias_at, nbr
@@ -344,7 +340,7 @@ def _layer_plan(op: str, wd: np.ndarray, bd: np.ndarray,
 def _layer_forward(wd: np.ndarray, bd: np.ndarray, datas: list[np.ndarray],
                    plan: tuple, relu: bool) -> np.ndarray:
     """relu?(concat(datas) @ wd + bd) without the concat, into a fresh
-    array; see dense."""
+    array; see mlp."""
     bounds, gathered, _, shape, bias_at, nbr = plan
     out = None
     for j, pd in enumerate(datas):
@@ -389,13 +385,36 @@ def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
     return gw, gb, gparts
 
 
-def _stack(kind: str, layers: Sequence[tuple[Tensor, Tensor]],
-           parts: Sequence[Tensor], nbr, relu_last: bool) -> Tensor:
-    """The layers one after another, the first over parts (with nbr), each
-    later one over the output before it; relu on every hidden layer and on
-    the last if relu_last.  Recorded as one node of the given kind."""
+def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
+        relu_last: bool = True) -> Tensor:
+    """The (weight, bias) layers one after another as one op: the first is
+    relu(concat(parts) @ w + b) over parts, without the concat, each later
+    one the same over the output before it, with relu on every hidden layer
+    and on the last if relu_last.  A shared MLP is one mlp, and so is each
+    layer of an FC stack, with relu_last off.
+
+    Each part multiplies its own row block of the first weight (a view; a
+    width-1 part is a broadcast multiply).  Without nbr every part is per
+    row, (n, width).  With the (n, k) table nbr the rows are edges: a rank-3
+    part is per edge (n, k, width) or per centre (n, 1, width) and
+    broadcasts over the neighbourhood; a rank-2 part is per reference point
+    (n_ref, width), projected once per point and then gathered by nbr.  The
+    bias is added once, to the first rank-2 part's projection (per point,
+    before any gather) if there is one, else to the sum.  The parts
+    accumulate in place into the first projection and the relu,
+    max(x, 0.0), runs in place, so a layer allocates its output and nothing
+    else per edge.  Each layer equals the layer on the concat up to
+    summation order.
+
+    A taped mlp keeps only its parts' arrays and, with relu_last, one bool
+    mask of its output.  Its backward recomputes the hidden layers from the
+    parts by the same code, so they carry the bits the forward computed and
+    then dropped (the per-edge hidden outputs are the bulk of a training
+    tape and cost one forward to rebuild), and then backpropagates layer by
+    layer.
+    """
     if not layers:
-        raise TensorError(f"{kind}: needs at least one layer")
+        raise TensorError("mlp: needs at least one layer")
     if nbr is not None:
         nbr = np.asarray(nbr, dtype=np.int64)
     ws = [w.data for w, _ in layers]
@@ -404,18 +423,15 @@ def _stack(kind: str, layers: Sequence[tuple[Tensor, Tensor]],
     last = len(layers) - 1
     plans, x = [], datas
     for i, (wd, bd) in enumerate(zip(ws, bs)):
-        plans.append(_layer_plan(kind, wd, bd, [a.shape for a in x],
+        plans.append(_layer_plan(wd, bd, [a.shape for a in x],
                                  nbr if i == 0 else None))
         x = [_layer_forward(wd, bd, x, plans[i], i < last or relu_last)]
     out = x[0]
-    inputs = tuple(t for layer in layers for t in layer) + tuple(parts)
-    if _current_tape(inputs) is None:
+    if _ACTIVE is None:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None
 
     def back(g):
-        # recompute the hidden layers from the parts, by the same code, so
-        # they carry the bits the forward computed and then dropped
         ins = [datas]
         for i in range(last):
             ins.append([_layer_forward(ws[i], bs[i], ins[i], plans[i],
@@ -432,44 +448,8 @@ def _stack(kind: str, layers: Sequence[tuple[Tensor, Tensor]],
                 ins[i] = None
         return (*grads, *gparts)
 
-    return _make(kind, inputs, out, back)
-
-
-def dense(w: Tensor, b: Tensor, *parts: Tensor, nbr=None,
-          relu: bool = True) -> Tensor:
-    """One layer, relu?(concat(parts) @ w + b), as one op and without the
-    concat.
-
-    Each part multiplies its own row block of w (a view; a width-1 part is
-    a broadcast multiply).  Without nbr every part is per row, (n, width).
-    With the (n, k) table nbr the rows are edges: a rank-3 part is per edge
-    (n, k, width) or per centre (n, 1, width) and broadcasts over the
-    neighbourhood; a rank-2 part is per reference point (n_ref, width),
-    projected once per point and then gathered by nbr.  The bias is added
-    once, to the first rank-2 part's projection (per point, before any
-    gather) if there is one, else to the sum.  The parts accumulate in place
-    into the first projection and the relu, max(x, 0.0), runs in place, so
-    the layer allocates its output and nothing else per edge.  Equals the
-    layer on the concat up to summation order.  A taped dense keeps its
-    parts' arrays and, with relu, one bool mask of its output.
-    """
-    return _stack("dense", [(w, b)], parts, nbr, relu)
-
-
-def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
-        relu_last: bool = True) -> Tensor:
-    """A shared MLP over the (weight, bias) pairs in layers as one op: the
-    first layer is dense over parts (and nbr), each later layer dense over
-    the one before, with relu on every hidden layer and on the last if
-    relu_last.
-
-    A taped mlp keeps only its parts' arrays and, with relu_last, one bool
-    mask of its output.  Its backward recomputes the hidden layers from the
-    parts (the per-edge hidden outputs are the bulk of a training tape and
-    cost one forward to rebuild) and then backpropagates layer by layer.
-    Outputs and gradients equal the chain of dense calls bit for bit.
-    """
-    return _stack("mlp", layers, parts, nbr, relu_last)
+    inputs = tuple(t for layer in layers for t in layer) + tuple(parts)
+    return _make("mlp", inputs, out, back)
 
 
 # --- softmax / reductions ---
@@ -501,7 +481,7 @@ def reduce_sum(a: Tensor, axis: int | None = None,
 def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; gradient flows to the first (lowest-index) argmax."""
     out = a.data.max(axis=axis)
-    if _current_tape((a,)) is None:
+    if _ACTIVE is None:
         return Tensor(out)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # first index on ties
     shape = a.data.shape

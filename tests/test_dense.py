@@ -1,15 +1,15 @@
-"""T.dense, one MLP layer as one op, and T.mlp, a whole shared MLP as one
-op: finite-difference gradients for every kind of part, and bit-identity
-with the op chains they replaced.
+"""T.mlp, a stack of layers as one op, as a single layer and as whole
+shared MLPs: finite-difference gradients for every kind of part, and
+bit-identity with the op chains it replaced.
 
-The oracle for dense, `layer_chain`, is that chain: per part a matmul by the
-weight's row block cut out with gather_rows, the bias added once, then relu
-as a * (a > 0).  dense sums the same products in the same order, so outputs
-and every gradient agree bit for bit, except that its in-place relu writes
-+0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits` compares
-with the sign of zero cleared.  The oracle for mlp is the chain of dense
-calls it replaced, one per layer; mlp recomputes the hidden layers in its
-backward by the same code, so there the bits agree exactly.
+The oracle for one layer, `layer_chain`, is that chain: per part a matmul by
+the weight's row block cut out with gather_rows, the bias added once, then
+relu as a * (a > 0).  mlp sums the same products in the same order, so
+outputs and every gradient agree bit for bit, except that its in-place relu
+writes +0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits`
+compares with the sign of zero cleared.  The oracle for a stack,
+`dense_chain`, runs one layer_chain per layer, so it shares no layer code
+with mlp.
 """
 import numpy as np
 import pytest
@@ -54,6 +54,10 @@ def layer_chain(w, b, *parts, nbr=None, relu=True):
     return T.mul(x, T.const(x.data > 0.0)) if relu else x
 
 
+def one_layer(w, b, *parts, nbr=None, relu=True):
+    return T.mlp([(w, b)], *parts, nbr=nbr, relu_last=relu)
+
+
 def _inputs(layout, seed=0):
     shapes, nbr = LAYOUTS[layout]
     rng = np.random.default_rng(seed)
@@ -83,13 +87,13 @@ def _bits(a):
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_dense_gradients_match_central_differences(layout, relu):
     w, b, parts, nbr = _inputs(layout)
-    _, _, grads = _run(T.dense, w, b, parts, nbr, relu)
+    _, _, grads = _run(one_layer, w, b, parts, nbr, relu)
     arrays = [w, b] + parts
     for i, (x, g) in enumerate(zip(arrays, grads)):
         def f(v, i=i):
             moved = list(arrays)
             moved[i] = v
-            return _run(T.dense, *moved[:2], moved[2:], nbr, relu)[1]
+            return _run(one_layer, *moved[:2], moved[2:], nbr, relu)[1]
         assert grad_gap(g, finite_diff(f, x)) < 1e-4, i
 
 
@@ -97,14 +101,15 @@ def test_dense_gradients_match_central_differences(layout, relu):
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_dense_is_bit_identical_to_the_op_chain(layout, relu):
     w, b, parts, nbr = _inputs(layout, seed=1)
-    out, loss, grads = _run(T.dense, w, b, parts, nbr, relu)
+    out, loss, grads = _run(one_layer, w, b, parts, nbr, relu)
     want, want_loss, want_grads = _run(layer_chain, w, b, parts, nbr, relu)
     assert _bits(out) == _bits(want)
     assert loss == want_loss
     for g, wg in zip(grads, want_grads):
         assert _bits(g) == _bits(wg)
     # eager computes no mask and records nothing, and gives the same bits
-    eager = T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr, relu=relu)
+    eager = one_layer(*[T.const(a) for a in [w, b] + parts], nbr=nbr,
+                      relu=relu)
     assert eager.tape is None
     assert eager.data.tobytes() == out.tobytes()
 
@@ -112,9 +117,9 @@ def test_dense_is_bit_identical_to_the_op_chain(layout, relu):
 def test_dense_records_one_node_with_a_bool_mask():
     w, b, parts, nbr = _inputs("set_conv")
     with T.Tape() as tp:
-        T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
+        one_layer(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
     kinds = [node.kind for node in tp.nodes]
-    assert kinds.count("dense") == 1 and set(kinds) == {"leaf", "dense"}
+    assert kinds.count("mlp") == 1 and set(kinds) == {"leaf", "mlp"}
     cells = [c.cell_contents for c in tp.nodes[-1].backward_fn.__closure__]
     masks = [c for c in cells if isinstance(c, np.ndarray) and c.dtype == bool]
     assert len(masks) == 1 and masks[0].shape == (N, K, C)
@@ -132,7 +137,7 @@ def test_dense_records_one_node_with_a_bool_mask():
 def test_dense_rejects_mismatched_inputs(bad, match):
     w, b, parts, nbr = bad(*_inputs("set_conv"))
     with pytest.raises(T.TensorError, match=match):
-        T.dense(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
+        one_layer(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
 
 
 # hidden widths of the stacks, distinct from C and from every part width
@@ -152,8 +157,8 @@ def _stack_inputs(layout, depth, seed=0):
 def dense_chain(layers, *parts, nbr=None, relu_last=True):
     x = parts
     for i, (w, b) in enumerate(layers):
-        x = (T.dense(w, b, *x, nbr=nbr if i == 0 else None,
-                     relu=i < len(layers) - 1 or relu_last),)
+        x = (layer_chain(w, b, *x, nbr=nbr if i == 0 else None,
+                         relu=i < len(layers) - 1 or relu_last),)
     return x[0]
 
 
@@ -173,18 +178,18 @@ def _run_stack(op, layers, parts, nbr, relu_last):
 
 
 @pytest.mark.parametrize("relu_last", [True, False])
-@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_mlp_is_bit_identical_to_the_dense_chain(layout, depth, relu_last):
     layers, parts, nbr = _stack_inputs(layout, depth, seed=2)
     out, loss, grads = _run_stack(T.mlp, layers, parts, nbr, relu_last)
     want, want_loss, want_grads = _run_stack(dense_chain, layers, parts, nbr,
                                              relu_last)
-    assert out.tobytes() == want.tobytes()
+    assert _bits(out) == _bits(want)
     assert loss == want_loss
     assert len(grads) == 2 * depth + len(parts)
     for g, wg in zip(grads, want_grads):
-        assert g.tobytes() == wg.tobytes()
+        assert _bits(g) == _bits(wg)
     eager = T.mlp([(T.const(w), T.const(b)) for w, b in layers],
                   *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
     assert eager.tape is None

@@ -47,8 +47,7 @@ def quat_mul(a, b) -> np.ndarray:
 
 
 def rotate(q, t, pts) -> np.ndarray:
-    return G.rotate_points_t(T.const(q), None if t is None else T.const(t),
-                             T.const(pts)).data
+    return G.rotate_points_t(T.const(q), T.const(t), T.const(pts)).data
 
 
 def compose(dq, dt, q, t) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +97,7 @@ def test_canonicalize_collapses_double_cover(seed):
 
 def test_rotate_quarter_turn_about_z():
     q = np.array([math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)])
-    out = rotate(q, None, np.array([[1.0, 0.0, 0.0]]))
+    out = rotate(q, np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
@@ -108,7 +107,7 @@ def test_rotate_matches_quaternion_sandwich():
     p = rng.normal(size=3)
     conj = q * np.array([1.0, -1.0, -1.0, -1.0])
     sandwich = hamilton(hamilton(q, np.concatenate([[0.0], p])), conj)
-    out = rotate(q, None, p.reshape(1, 3))
+    out = rotate(q, np.zeros(3), p.reshape(1, 3))
     assert np.allclose(out, [sandwich[1:]], atol=1e-12)
 
 

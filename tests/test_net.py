@@ -166,8 +166,12 @@ def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
     fcs = _counting(monkeypatch, FcStack, "__call__")
     tape = _train_step(OdometryNet(desk_config()), *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
-    assert kinds.count("mlp") == len(mlps) > 0
-    assert kinds.count("dense") == sum(len(fc.layers) for fc, *_ in fcs) > 0
+    n_fc = sum(len(fc.layers) for fc, *_ in fcs)
+    assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
+    # the pair records every kind the op set has, and no other
+    assert set(kinds) == {"leaf", "add", "sub", "mul", "div", "sqrt",
+                          "matmul", "mlp", "softmax", "sum", "max",
+                          "reshape", "gather"}
 
 
 def test_no_warp_changes_the_refined_poses():

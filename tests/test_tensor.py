@@ -71,12 +71,12 @@ def test_grad_div():
 
 
 def test_grad_relu():
-    # relu alone: a dense layer with an identity weight and a zero bias,
+    # relu alone: a one-layer mlp with an identity weight and a zero bias,
     # inputs offset away from the kink so central differences are valid
     x = np.random.default_rng(5).normal(size=(6, 3))
     x[np.abs(x) < 1e-3] = 0.5
-    _check_unary(lambda t: T.dense(T.const(np.eye(3)), T.const(np.zeros(3)),
-                                   t), x)
+    _check_unary(lambda t: T.mlp([(T.const(np.eye(3)), T.const(np.zeros(3)))],
+                                 t), x)
 
 
 def test_grad_sqrt():
@@ -196,7 +196,7 @@ def test_reshape_to_another_size_raises():
 
 
 def test_composite_chain_close_to_real_use():
-    # dense (matmul + bias + relu) -> softmax -> weighted sum, end to end
+    # one layer (matmul + bias + relu) -> softmax -> weighted sum, end to end
     rng = np.random.default_rng(20)
     w = rng.normal(size=(4, 3))
     x = rng.normal(size=(5, 4))
@@ -205,7 +205,7 @@ def test_composite_chain_close_to_real_use():
     def run(wv):
         with T.Tape() as tp:
             tw = T.const(wv)
-            h = T.dense(tw, T.const(b), T.const(x))
+            h = T.mlp([(tw, T.const(b))], T.const(x))
             a = T.softmax_axis(h, axis=0)
             loss = T.reduce_sum(T.mul(a, h))
         tp.backward(loss)
@@ -234,12 +234,14 @@ def test_backward_non_scalar_root_raises():
 
 
 def test_two_live_tapes_rejected():
-    outer = T.Tape()
-    with outer:
-        a = T.mul(T.const(np.ones(2)), T.const(np.ones(2)))
-        with T.Tape():
-            with pytest.raises(T.TensorError, match="live tape"):
-                T.add(a, T.const(np.ones(2)))
+    with T.Tape() as outer:
+        T.mul(T.const(np.ones(2)), T.const(np.ones(2)))
+        with pytest.raises(T.TensorError, match="do not nest"):
+            with T.Tape():
+                pass
+        # the outer tape still records after the failed entry
+        T.mul(T.const(np.ones(2)), T.const(np.ones(2)))
+    assert [n.kind for n in outer.nodes].count("mul") == 2
 
 
 def test_matmul_shape_error_mentions_shapes():
