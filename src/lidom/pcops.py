@@ -22,7 +22,8 @@ multiplying by the first weight, each part multiplies its own row block of
 that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
 summation order.  Every SharedMLP call is one T.mlp op, whose backward
-recomputes the hidden layers, and every FcStack layer a one-layer T.mlp.
+recomputes the hidden layers, and every FcStack layer a one-layer T.mlp;
+the cost volume hands its two SharedMLPs' tensors to one T.attend op.
 Shared MLPs apply relu on every layer; the FC stacks used by pose heads
 elsewhere do not (see headmask).
 """
@@ -196,6 +197,17 @@ class SharedMLP:
             self.layers.append((weight, bias))
             fan_in = w
 
+    def tensors(self, *parts: T.Tensor) -> list[tuple[T.Tensor, T.Tensor]]:
+        """Each layer's (weight, bias) tensors, for an op over input rows
+        that concat `parts` in order; raises PcopsError unless the parts'
+        widths sum to the first layer's rows."""
+        widths = [p.shape[-1] for p in parts]
+        rows = self.layers[0][0].value.shape[0]
+        if sum(widths) != rows:
+            raise PcopsError(f"input widths {widths} do not sum to the "
+                             f"first layer's {rows} rows")
+        return [(w.tensor(), b.tensor()) for w, b in self.layers]
+
     def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
                  ) -> T.Tensor:
         """The MLP over input rows that concat `parts` in order, without
@@ -204,13 +216,8 @@ class SharedMLP:
         point and gathered by it), each later layer over the one before.
         Equals the MLP on the concat up to summation order.
         """
-        widths = [p.shape[-1] for p in parts]
-        rows = self.layers[0][0].value.shape[0]
-        if sum(widths) != rows:
-            raise PcopsError(f"input widths {widths} do not sum to the "
-                             f"first layer's {rows} rows")
-        return T.mlp([(w.tensor(), b.tensor()) for w, b in self.layers],
-                     *parts, nbr=nbr, relu_last=self.relu_last)
+        return T.mlp(self.tensors(*parts), *parts, nbr=nbr,
+                     relu_last=self.relu_last)
 
 
 class FcStack:

@@ -11,14 +11,18 @@ at a time: entering a tape while another records raises TensorError.
 A tape holds only what its backward reads (op closures keep arrays and
 shapes, never a Tensor; backward keeps leaf gradients only) and parameters
 never point at it, so reference counting frees it once its caller lets go.
-mlp's backward recomputes the hidden layers from the inputs it kept rather
-than keeping them: they are the bulk of a training tape.
+mlp and attend are the two ops that recompute in backward: they keep their
+input parts only and rebuild the per-edge arrays from them (mlp its hidden
+layers, attend also both stacks' outputs and the softmax weights), which
+are the bulk of a training tape.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
-shared MLP, or one layer of an FC stack), axis softmax, sum and per-axis
-max reductions, reshape, and row gathers with scatter-add gradients.
+shared MLP, or one layer of an FC stack), attend (a neighbourhood's
+softmax-weighted sum of one mlp stack's outputs, weights from another, as
+one op: a cost-volume stage), axis softmax, sum and per-axis max
+reductions, reshape, and row gathers with scatter-add gradients.
 Everything is double precision end to end.
 """
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
     "const", "add", "sub", "mul", "div", "sqrt",
-    "matmul", "mlp", "softmax_axis", "reduce_sum", "reduce_max",
+    "matmul", "mlp", "attend", "softmax_axis", "reduce_sum", "reduce_max",
     "reshape", "gather_rows", "save_params", "load_params",
 ]
 
@@ -146,6 +150,12 @@ class Tape:
         root must be scalar.  The returned map covers every trainable
         parameter in `store` (zeros for parameters the graph never touched);
         without a store it covers just the parameters the tape saw.
+
+        Nodes run from the last to the first, and each adds its parent
+        gradients in parent order.  A node that lists one tensor twice, with
+        gradients g1 then g2, leaves it (X + g1) + g2, where X is what later
+        nodes gave it: attend lists its parts twice to add u's and v's
+        gradients as two separate nodes would.
         """
         rid = self._nid(root)
         if rid is None:
@@ -385,6 +395,56 @@ def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
     return gw, gb, gparts
 
 
+def _stack(op: str, layers, shapes: list, nbr) -> tuple[list, list, list]:
+    """(weights, biases, plans) of a non-empty stack of (weight, bias)
+    layers: the first layer's plan over parts of these shapes with the table
+    nbr, each later one's over the output before it."""
+    if not layers:
+        raise TensorError(f"{op}: needs at least one layer")
+    ws, bs = [w.data for w, _ in layers], [b.data for _, b in layers]
+    plans = []
+    for i, (wd, bd) in enumerate(zip(ws, bs)):
+        plans.append(_layer_plan(wd, bd, shapes, nbr if i == 0 else None))
+        shapes = [plans[-1][3]]
+    return ws, bs, plans
+
+
+def _hidden(stack: tuple, datas: list) -> list[list]:
+    """Every layer's inputs: the parts, then each hidden layer's output
+    (relu on), from which the last layer runs."""
+    ws, bs, plans = stack
+    ins = [datas]
+    for i in range(len(ws) - 1):
+        ins.append([_layer_forward(ws[i], bs[i], ins[i], plans[i], True)])
+    return ins
+
+
+def _run(stack: tuple, datas: list, relu_last: bool
+         ) -> tuple[list, np.ndarray]:
+    """(every layer's inputs, the last layer's output) of a stack."""
+    ws, bs, plans = stack
+    ins = _hidden(stack, datas)
+    return ins, _layer_forward(ws[-1], bs[-1], ins[-1], plans[-1], relu_last)
+
+
+def _stack_backward(g: np.ndarray, stack: tuple, ins: list
+                    ) -> tuple[list, list]:
+    """Backpropagate through a stack from the gradient g of its output, the
+    last layer's relu mask (if any) already applied; ins is _hidden's list,
+    dropped as it is spent.  Returns ([w0, b0, w1, b1, ...] grads, part
+    grads)."""
+    ws, _, plans = stack
+    grads = [None] * (2 * len(ws))
+    for i in range(len(ws) - 1, -1, -1):
+        gw, gb, gparts = _layer_backward(g, ws[i], ins[i], plans[i])
+        grads[2 * i:2 * i + 2] = gw, gb
+        if i:
+            g = gparts[0]          # owned here, so masked in place
+            g *= ins[i][0] > 0.0
+            ins[i] = None
+    return grads, gparts
+
+
 def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
         relu_last: bool = True) -> Tensor:
     """The (weight, bias) layers one after another as one op: the first is
@@ -413,51 +473,112 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     tape and cost one forward to rebuild), and then backpropagates layer by
     layer.
     """
-    if not layers:
-        raise TensorError("mlp: needs at least one layer")
     if nbr is not None:
         nbr = np.asarray(nbr, dtype=np.int64)
-    ws = [w.data for w, _ in layers]
-    bs = [b.data for _, b in layers]
     datas = [p.data for p in parts]
-    last = len(layers) - 1
-    plans, x = [], datas
-    for i, (wd, bd) in enumerate(zip(ws, bs)):
-        plans.append(_layer_plan(wd, bd, [a.shape for a in x],
-                                 nbr if i == 0 else None))
-        x = [_layer_forward(wd, bd, x, plans[i], i < last or relu_last)]
-    out = x[0]
+    stack = _stack("mlp", layers, [d.shape for d in datas], nbr)
+    out = _run(stack, datas, relu_last)[1]
     if _ACTIVE is None:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None
 
     def back(g):
-        ins = [datas]
-        for i in range(last):
-            ins.append([_layer_forward(ws[i], bs[i], ins[i], plans[i],
-                                       True)])
         if mask is not None:
             g = g * mask
-        grads = [None] * (2 * len(ws))
-        for i in range(last, -1, -1):
-            gw, gb, gparts = _layer_backward(g, ws[i], ins[i], plans[i])
-            grads[2 * i:2 * i + 2] = gw, gb
-            if i:
-                g = gparts[0]          # owned here, so masked in place
-                g *= ins[i][0] > 0.0
-                ins[i] = None
+        grads, gparts = _stack_backward(g, stack, _hidden(stack, datas))
         return (*grads, *gparts)
 
     inputs = tuple(t for layer in layers for t in layer) + tuple(parts)
     return _make("mlp", inputs, out, back)
 
 
+def attend(u_layers: Sequence[tuple[Tensor, Tensor]] | None,
+           v_layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor,
+           nbr) -> Tensor:
+    """Attentive pooling over each row's k neighbours as one op: the (n, c)
+    sum over axis 1 of softmax_axis(u, 1) * v, where v and u are the mlp
+    stacks v_layers (relu on every layer) and u_layers (no relu on the
+    last: its outputs are logits) over the same parts and (n, k) table nbr,
+    and both give (n, k, c).  With u_layers None the weights are 1/k.
+
+    Equals that chain of ops (mlp, mlp, softmax_axis, mul, reduce_sum) bit
+    for bit.  The softmax runs in place on u's output, and the weighted
+    values accumulate in place into v's, so no per-edge product is
+    allocated.
+
+    A taped attend keeps only its parts' arrays.  Its backward recomputes
+    each stack's hidden layers once, the outputs and the softmax from them,
+    replays the chain's sum, mul and softmax backward arithmetic, and then
+    backpropagates through u's layers and then v's.  The parts are listed
+    twice among the node's parents, u's copy first, and get u's and v's
+    gradients separately, so the tape adds them in the chain's order.
+    """
+    nbr = np.asarray(nbr, dtype=np.int64)
+    if nbr.ndim != 2:
+        raise TensorError(f"attend: nbr must be an (n, k) table, "
+                          f"got shape {nbr.shape}")
+    k = nbr.shape[1]
+    datas = [p.data for p in parts]
+    shapes = [d.shape for d in datas]
+    v = _stack("attend", v_layers, shapes, nbr)
+    u = None if u_layers is None else _stack("attend", u_layers, shapes, nbr)
+    out_shape = v[2][-1][3]
+    if out_shape[:-1] != nbr.shape:
+        raise TensorError(f"attend: values of shape {out_shape} are not "
+                          f"per edge of the {nbr.shape} table")
+    if u is not None and u[2][-1][3] != out_shape:
+        raise TensorError(f"attend: logits of shape {u[2][-1][3]} and "
+                          f"values of shape {out_shape} differ")
+
+    def weights():
+        """(u's layer inputs, the weights): no inputs and 1/k if uniform."""
+        if u is None:
+            return None, 1.0 / k
+        ins, logits = _run(u, datas, False)
+        return ins, _softmax(logits, 1, out=logits)
+
+    val = _run(v, datas, True)[1]
+    val *= weights()[1]
+    out = val.sum(axis=1)
+    if _ACTIVE is None:
+        return Tensor(out)
+
+    def back(g):
+        vins, val = _run(v, datas, True)
+        uins, w = weights()
+        ge = np.expand_dims(g, 1)
+        gval = np.broadcast_to(ge, val.shape) * w
+        gval *= val > 0.0
+        grads = []
+        if u is not None:
+            # the weights' gradient, then the logits', in val's buffer
+            glogits = np.multiply(ge, val, out=val)
+            glogits -= (glogits * w).sum(axis=1, keepdims=True)
+            glogits *= w
+            ugrads, ugparts = _stack_backward(glogits, u, uins)
+            grads = ugrads + ugparts
+        vgrads, vgparts = _stack_backward(gval, v, vins)
+        return (*grads, *vgrads, *vgparts)
+
+    inputs = tuple(t for layer in v_layers for t in layer) + tuple(parts)
+    if u is not None:
+        inputs = (tuple(t for layer in u_layers for t in layer)
+                  + tuple(parts) + inputs)
+    return _make("attend", inputs, out, back)
+
+
 # --- softmax / reductions ---
 
-def softmax_axis(a: Tensor, axis: int) -> Tensor:
-    out = a.data - a.data.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Softmax of x over axis, into out (x itself to run in place)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_axis(a: Tensor, axis: int) -> Tensor:
+    out = _softmax(a.data, axis)
 
     def back(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -1,6 +1,7 @@
 """T.mlp, a stack of layers as one op, as a single layer and as whole
-shared MLPs: finite-difference gradients for every kind of part, and
-bit-identity with the op chains it replaced.
+shared MLPs, and T.attend, a cost-volume stage as one op: finite-difference
+gradients for every kind of part, and bit-identity with the op chains they
+replaced.
 
 The oracle for one layer, `layer_chain`, is that chain: per part a matmul by
 the weight's row block cut out with gather_rows, the bias added once, then
@@ -9,7 +10,8 @@ outputs and every gradient agree bit for bit, except that its in-place relu
 writes +0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits`
 compares with the sign of zero cleared.  The oracle for a stack,
 `dense_chain`, runs one layer_chain per layer, so it shares no layer code
-with mlp.
+with mlp.  The oracle for attend, `attend_chain`, is mlp for u and v, then
+softmax_axis, mul and reduce_sum.
 """
 import numpy as np
 import pytest
@@ -252,3 +254,147 @@ def test_mlp_records_one_node_that_keeps_no_hidden_layer(relu_last):
 def test_mlp_rejects_an_empty_stack():
     with pytest.raises(T.TensorError, match="at least one layer"):
         T.mlp([], T.const(np.ones((N, C))))
+
+
+# --- attend: the cost volume's attentive pooling as one op ---
+
+def attend_chain(u_layers, v_layers, *parts, nbr):
+    """The op chain attend replaced: v and u as mlp nodes, a softmax over
+    the neighbourhood (or constant 1/k weights), the weighted values and
+    their sum over the neighbourhood."""
+    val = T.mlp(v_layers, *parts, nbr=nbr)
+    n, k = nbr.shape
+    if u_layers is None:
+        weights = T.const(np.full((n, k, 1), 1.0 / k))
+    else:
+        weights = T.softmax_axis(
+            T.mlp(u_layers, *parts, nbr=nbr, relu_last=False), axis=1)
+    return T.reduce_sum(T.mul(weights, val), axis=1)
+
+
+def _attend_inputs(layout, depth, uniform, seed=0):
+    """(u layers or None, v layers, parts, nbr) over one layout."""
+    v, parts, nbr = _stack_inputs(layout, depth, seed)
+    u = None if uniform else _stack_inputs(layout, depth, seed + 1)[0]
+    return u, v, parts, nbr
+
+
+def _pairs(ts):
+    return list(zip(ts[::2], ts[1::2]))
+
+
+def _run_attend(op, u, v, parts, nbr, later=False):
+    """op under a tape, read out through a fixed random projection; with
+    later, a term per part is recorded after op, so each part's gradient
+    already holds one from a later node when op's backward reaches it.
+    Returns (output, loss, grads of u's weights and biases, v's, the
+    parts, in that order)."""
+    with T.Tape() as tp:
+        us = [] if u is None else [T.const(a) for layer in u for a in layer]
+        vs = [T.const(a) for layer in v for a in layer]
+        pts = [T.const(a) for a in parts]
+        out = op(_pairs(us) if u is not None else None, _pairs(vs), *pts,
+                 nbr=nbr)
+        rng = np.random.default_rng(99)
+        loss = T.reduce_sum(T.mul(out, T.const(rng.normal(size=out.shape))))
+        for p in pts if later else ():
+            term = T.mul(p, T.const(rng.normal(size=p.shape)))
+            loss = T.add(loss, T.reduce_sum(term))
+    tp.backward(loss)
+    return out.data, loss.item(), [tp.grad(t) for t in us + vs + pts]
+
+
+ATTEND_LAYOUTS = ["cost_volume", "set_conv", "edge_only", "centre_first"]
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("layout", ATTEND_LAYOUTS)
+def test_attend_is_bit_identical_to_the_op_chain(layout, depth, uniform,
+                                                 later):
+    u, v, parts, nbr = _attend_inputs(layout, depth, uniform, seed=3)
+    out, loss, grads = _run_attend(T.attend, u, v, parts, nbr, later)
+    want, want_loss, want_grads = _run_attend(attend_chain, u, v, parts, nbr,
+                                              later)
+    assert _bits(out) == _bits(want)
+    assert loss == want_loss
+    assert len(grads) == 2 * depth * (1 if uniform else 2) + len(parts)
+    for i, (g, wg) in enumerate(zip(grads, want_grads)):
+        assert _bits(g) == _bits(wg), i
+    eager = T.attend(None if uniform else
+                     [(T.const(w), T.const(b)) for w, b in u],
+                     [(T.const(w), T.const(b)) for w, b in v],
+                     *[T.const(a) for a in parts], nbr=nbr)
+    assert eager.tape is None
+    assert eager.data.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_attend_gradients_match_central_differences(uniform):
+    u, v, parts, nbr = _attend_inputs("cost_volume", 2, uniform)
+    _, _, grads = _run_attend(T.attend, u, v, parts, nbr)
+    stacks = ([] if u is None else [u]) + [v]
+    arrays = [a for s in stacks for layer in s for a in layer] + parts
+
+    def loss_at(i, x):
+        moved = list(arrays)
+        moved[i] = x
+        layers = [_pairs(moved[j:j + 4]) for j in range(0, 4 * len(stacks), 4)]
+        return _run_attend(T.attend, None if u is None else layers[0],
+                           layers[-1], moved[4 * len(stacks):], nbr)[1]
+
+    for i, (x, g) in enumerate(zip(arrays, grads)):
+        assert grad_gap(g, finite_diff(lambda y: loss_at(i, y), x)) < 1e-4, i
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
+    u, v, parts, nbr = _attend_inputs("cost_volume", 3, uniform)
+    with T.Tape() as tp:
+        us = None if u is None else [(T.const(w), T.const(b)) for w, b in u]
+        vs = [(T.const(w), T.const(b)) for w, b in v]
+        pts = [T.const(a) for a in parts]
+        T.attend(us, vs, *pts, nbr=nbr)
+    kinds = [node.kind for node in tp.nodes]
+    assert kinds.count("attend") == 1 and set(kinds) == {"leaf", "attend"}
+    # the parts are listed twice, u's copy first, so that the tape adds
+    # u's gradient and then v's into each part
+    ids = [t.nid for t in pts]
+    stacks = ([] if us is None else [us]) + [vs]
+    want = [i for s in stacks
+            for i in [t.nid for layer in s for t in layer] + ids]
+    assert list(tp.nodes[-1].parents) == want
+    held = _closure_arrays(tp.nodes[-1].backward_fn)
+    # no value, logit, weight or hidden array, and no relu mask
+    per_edge = ({(N, K, c) for c in (C,) + HIDDEN}
+                | {(N_REF, h) for h in HIDDEN})
+    assert not [a.shape for a in held
+                if a.shape in per_edge and a.dtype.kind == "f"]
+    assert not [a.shape for a in held if a.dtype == bool]
+    # what it keeps per edge is its parts, by reference
+    assert all(any(a is p for p in parts) for a in held
+               if a.ndim == 3 and a.dtype.kind == "f")
+
+
+def _centre_rows(stack):
+    """The stack with its first weight cut to the cost_volume layout's
+    CENTRE rows, for that part alone."""
+    return [(stack[0][0][3:6], stack[0][1])] + stack[1:]
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda u, v, ps, nbr: (u[:1] + [(u[1][0][:, :-1], u[1][1][:-1])], v, ps,
+                            nbr), "differ"),
+    (lambda u, v, ps, nbr: (u, v, ps, nbr[0]), r"\(n, k\) table"),
+    (lambda u, v, ps, nbr: (_centre_rows(u), _centre_rows(v), [ps[2]], nbr),
+     "not per edge"),
+    (lambda u, v, ps, nbr: (u, [], ps, nbr), "at least one layer"),
+    (lambda u, v, ps, nbr: ([], v, ps, nbr), "at least one layer"),
+], ids=["widths", "table-rank", "no-edge-part", "empty-v", "empty-u"])
+def test_attend_rejects_mismatched_inputs(bad, match):
+    u, v, parts, nbr = bad(*_attend_inputs("cost_volume", 2, False))
+    with pytest.raises(T.TensorError, match=match):
+        T.attend([(T.const(w), T.const(b)) for w, b in u],
+                 [(T.const(w), T.const(b)) for w, b in v],
+                 *[T.const(a) for a in parts], nbr=nbr)

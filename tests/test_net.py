@@ -10,6 +10,7 @@ import pytest
 import lidom.net
 from conftest import grad_gap
 from lidom import tensor as T
+from lidom.costvol import CostVolume
 from lidom.net import NetError, OdometryNet, desk_config
 from lidom.pcops import FcStack, SharedMLP
 
@@ -163,15 +164,21 @@ def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
 
 def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
     mlps = _counting(monkeypatch, SharedMLP, "__call__")
+    handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
+    cvs = _counting(monkeypatch, CostVolume, "__call__")
     tape = _train_step(OdometryNet(desk_config()), *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_fc = sum(len(fc.layers) for fc, *_ in fcs)
     assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
+    # each cost volume is two attend nodes, one per stage, and each of them
+    # takes the tensors of two SharedMLPs, u and v, that record no mlp node
+    assert kinds.count("attend") == 2 * len(cvs) > 0
+    assert len(handed) == len(mlps) + 2 * kinds.count("attend")
     # the pair records every kind the op set has, and no other
     assert set(kinds) == {"leaf", "add", "sub", "mul", "div", "sqrt",
-                          "matmul", "mlp", "softmax", "sum", "max",
-                          "reshape", "gather"}
+                          "matmul", "mlp", "attend", "softmax", "sum",
+                          "max", "reshape", "gather"}
 
 
 def test_no_warp_changes_the_refined_poses():

@@ -225,6 +225,24 @@ def test_fanout_accumulates():
     assert abs(tp.grad(t)[0] - 7.0) < 1e-12
 
 
+def test_a_tensor_listed_twice_gets_its_gradients_in_parent_order():
+    # one mlp layer over (a, a): a is listed twice among the node's
+    # parents, with gradients g1 = 2**53 and g2 = -2**53; a later node has
+    # already given it X = 1.  In float64 (X + g1) + g2 is 0.0, while
+    # (X + g2) + g1 and X + (g1 + g2) are both 1.0
+    big = 2.0 ** 53
+    assert ((1.0 + big) - big, (1.0 - big) + big, 1.0 + (big - big)) \
+        == (0.0, 1.0, 1.0)
+    with T.Tape() as tp:
+        a = T.const(np.array([[0.5]]))
+        layer = (T.const(np.array([[big], [-big]])), T.const(np.zeros(1)))
+        y = T.mlp([layer], a, a, relu_last=False)
+        loss = T.add(T.reduce_sum(y), T.reduce_sum(a))
+    assert tp.nodes[y.nid].parents[-2:] == (a.nid, a.nid)
+    tp.backward(loss)
+    assert tp.grad(a).tolist() == [[0.0]]
+
+
 def test_backward_non_scalar_root_raises():
     with T.Tape() as tp:
         t = T.const(np.ones((2, 2)))
