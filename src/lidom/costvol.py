@@ -13,13 +13,14 @@ take the four as parts with the neighbor table, so their first layer runs
 factorized, with d and |d| per edge, f_c per center, and f_n projected once
 per reference point and then gathered; this equals the concat form up to
 summation order.  Attention weights are a per-channel softmax over the
-neighborhood; the "uniform" variant replaces them with 1/k, which removes
-the learned attention while keeping the value path intact.
+neighborhood.  The "uniform" variant has no u: its stage is the mean of v
+over the neighborhood (an mlp, a sum and a mul by 1/k), which removes the
+learned attention while keeping the value path intact.
 
-Past the offsets and distances, each stage is one T.attend op over u's and
-v's tensors.  It accumulates the weighted values in place, and a taped
-stage keeps only the four parts, so no per-edge weight, value or product
-outlives the forward; its backward recomputes them.
+Past the offsets and distances, each attentive stage is one T.attend op
+over u's and v's tensors.  It accumulates the weighted values in place,
+and a taped stage keeps only the four parts, so no per-edge weight, value
+or product outlives the forward; its backward recomputes them.
 """
 from __future__ import annotations
 
@@ -62,15 +63,17 @@ class CostVolume:
     def _attend(self, centers: T.Tensor, center_f: T.Tensor,
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,
                 u: SharedMLP | None, v: SharedMLP) -> T.Tensor:
-        n = nbr.shape[0]
+        n, k = nbr.shape
         rel = T.sub(T.gather_rows(ref_coords, nbr),
                     T.reshape(centers, (n, 1, 3)))
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2, keepdims=True),
                             T.const(_DIST_EPS)))
         parts = (rel, dist, T.reshape(center_f, (n, 1, center_f.shape[1])),
                  ref_f)
-        return T.attend(None if u is None else u.tensors(*parts),
-                        v.tensors(*parts), *parts, nbr=nbr)
+        if u is None:
+            return T.mul(T.reduce_sum(v(*parts, nbr=nbr), axis=1),
+                         T.const(1.0 / k))
+        return T.attend(u.tensors(*parts), v.tensors(*parts), *parts, nbr=nbr)
 
     def __call__(self, coords1: T.Tensor, feats1: T.Tensor,
                  coords2: T.Tensor, feats2: T.Tensor) -> T.Tensor:

@@ -69,8 +69,8 @@ def quat_normalize_t(q: T.Tensor) -> T.Tensor:
 
 
 def rotate_points_t(q: T.Tensor, t: T.Tensor, pts: T.Tensor) -> T.Tensor:
-    """Differentiable rotate(normalize(q), pts) + t for pts of shape (n, 3)."""
-    q = quat_normalize_t(q)
+    """Differentiable R(q) pts + t for pts of shape (n, 3) and a unit q
+    (R(q) is a rotation only then; q is not normalized here)."""
     qq = T.reshape(T.mul(T.reshape(q, (4, 1)), q), (1, 16))
     # R^T, so the product pts @ rt applies R on the left
     rt = T.add(T.matmul(qq, T.const(_ROT_T)), T.const(_EYE_ROW))
@@ -79,8 +79,8 @@ def rotate_points_t(q: T.Tensor, t: T.Tensor, pts: T.Tensor) -> T.Tensor:
 
 def pose_compose_t(dq: T.Tensor, dt: T.Tensor, q: T.Tensor,
                    t: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """Refinement step q = dq q_c, t = R(dq) t_c + dt; both quaternions
-    assumed unit."""
+    """Refinement step q = dq q_c, t = R(dq) t_c + dt for unit dq and q
+    (rotate_points_t takes dq as it is); the composed q is renormalized."""
     q_out = quat_normalize_t(quat_mul_t(dq, q))
     t_out = rotate_points_t(dq, dt, T.reshape(t, (1, 3)))
     return q_out, T.reshape(t_out, (3,))

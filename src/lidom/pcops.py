@@ -23,7 +23,8 @@ that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
 summation order.  Every SharedMLP call is one T.mlp op, whose backward
 recomputes the hidden layers, and every FcStack layer a one-layer T.mlp;
-the cost volume hands its two SharedMLPs' tensors to one T.attend op.
+an attentive cost-volume stage hands its two SharedMLPs' tensors to one
+T.attend op.
 Shared MLPs apply relu on every layer; the FC stacks used by pose heads
 elsewhere do not (see headmask).
 """

@@ -21,7 +21,7 @@ elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
 shared MLP, or one layer of an FC stack), attend (a neighbourhood's
 softmax-weighted sum of one mlp stack's outputs, weights from another, as
-one op: a cost-volume stage), axis softmax, sum and per-axis max
+one op: an attentive cost-volume stage), axis softmax, sum and per-axis max
 reductions, reshape, and row gathers with scatter-add gradients.
 Everything is double precision end to end.
 """
@@ -492,14 +492,14 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     return _make("mlp", inputs, out, back)
 
 
-def attend(u_layers: Sequence[tuple[Tensor, Tensor]] | None,
+def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
            v_layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor,
            nbr) -> Tensor:
     """Attentive pooling over each row's k neighbours as one op: the (n, c)
     sum over axis 1 of softmax_axis(u, 1) * v, where v and u are the mlp
     stacks v_layers (relu on every layer) and u_layers (no relu on the
     last: its outputs are logits) over the same parts and (n, k) table nbr,
-    and both give (n, k, c).  With u_layers None the weights are 1/k.
+    and both give (n, k, c).
 
     Equals that chain of ops (mlp, mlp, softmax_axis, mul, reduce_sum) bit
     for bit.  The softmax runs in place on u's output, and the weighted
@@ -517,23 +517,20 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]] | None,
     if nbr.ndim != 2:
         raise TensorError(f"attend: nbr must be an (n, k) table, "
                           f"got shape {nbr.shape}")
-    k = nbr.shape[1]
     datas = [p.data for p in parts]
     shapes = [d.shape for d in datas]
     v = _stack("attend", v_layers, shapes, nbr)
-    u = None if u_layers is None else _stack("attend", u_layers, shapes, nbr)
+    u = _stack("attend", u_layers, shapes, nbr)
     out_shape = v[2][-1][3]
     if out_shape[:-1] != nbr.shape:
         raise TensorError(f"attend: values of shape {out_shape} are not "
                           f"per edge of the {nbr.shape} table")
-    if u is not None and u[2][-1][3] != out_shape:
+    if u[2][-1][3] != out_shape:
         raise TensorError(f"attend: logits of shape {u[2][-1][3]} and "
                           f"values of shape {out_shape} differ")
 
     def weights():
-        """(u's layer inputs, the weights): no inputs and 1/k if uniform."""
-        if u is None:
-            return None, 1.0 / k
+        """(u's layer inputs, the softmax weights)."""
         ins, logits = _run(u, datas, False)
         return ins, _softmax(logits, 1, out=logits)
 
@@ -549,21 +546,16 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]] | None,
         ge = np.expand_dims(g, 1)
         gval = np.broadcast_to(ge, val.shape) * w
         gval *= val > 0.0
-        grads = []
-        if u is not None:
-            # the weights' gradient, then the logits', in val's buffer
-            glogits = np.multiply(ge, val, out=val)
-            glogits -= (glogits * w).sum(axis=1, keepdims=True)
-            glogits *= w
-            ugrads, ugparts = _stack_backward(glogits, u, uins)
-            grads = ugrads + ugparts
+        # the weights' gradient, then the logits', in val's buffer
+        glogits = np.multiply(ge, val, out=val)
+        glogits -= (glogits * w).sum(axis=1, keepdims=True)
+        glogits *= w
+        ugrads, ugparts = _stack_backward(glogits, u, uins)
         vgrads, vgparts = _stack_backward(gval, v, vins)
-        return (*grads, *vgrads, *vgparts)
+        return (*ugrads, *ugparts, *vgrads, *vgparts)
 
-    inputs = tuple(t for layer in v_layers for t in layer) + tuple(parts)
-    if u is not None:
-        inputs = (tuple(t for layer in u_layers for t in layer)
-                  + tuple(parts) + inputs)
+    inputs = (*(t for layer in u_layers for t in layer), *parts,
+              *(t for layer in v_layers for t in layer), *parts)
     return _make("attend", inputs, out, back)
 
 

@@ -89,10 +89,11 @@ def test_gradients_reach_all_four_mlp_blocks():
         assert grad_gap(analytic, numeric) < 1e-4, block
 
 
-def test_gradient_through_first_cloud_coordinates():
+@pytest.mark.parametrize("mode", ["attentive", "uniform"])
+def test_gradient_through_first_cloud_coordinates(mode):
     # the warp path differentiates through coords1, so this must be exact
     p1, f1, p2, f2 = _clouds(seed=6, n1=7, n2=8, c=3)
-    _, cv = _cv(c=3, k1=3, k2=2, seed=9)
+    _, cv = _cv(mode, c=3, k1=3, k2=2, seed=9)
 
     def run(coords):
         with T.Tape() as tp:

@@ -260,22 +260,18 @@ def test_mlp_rejects_an_empty_stack():
 
 def attend_chain(u_layers, v_layers, *parts, nbr):
     """The op chain attend replaced: v and u as mlp nodes, a softmax over
-    the neighbourhood (or constant 1/k weights), the weighted values and
-    their sum over the neighbourhood."""
+    the neighbourhood, the weighted values and their sum over the
+    neighbourhood."""
     val = T.mlp(v_layers, *parts, nbr=nbr)
-    n, k = nbr.shape
-    if u_layers is None:
-        weights = T.const(np.full((n, k, 1), 1.0 / k))
-    else:
-        weights = T.softmax_axis(
-            T.mlp(u_layers, *parts, nbr=nbr, relu_last=False), axis=1)
+    weights = T.softmax_axis(
+        T.mlp(u_layers, *parts, nbr=nbr, relu_last=False), axis=1)
     return T.reduce_sum(T.mul(weights, val), axis=1)
 
 
-def _attend_inputs(layout, depth, uniform, seed=0):
-    """(u layers or None, v layers, parts, nbr) over one layout."""
+def _attend_inputs(layout, depth, seed=0):
+    """(u layers, v layers, parts, nbr) over one layout."""
     v, parts, nbr = _stack_inputs(layout, depth, seed)
-    u = None if uniform else _stack_inputs(layout, depth, seed + 1)[0]
+    u = _stack_inputs(layout, depth, seed + 1)[0]
     return u, v, parts, nbr
 
 
@@ -290,11 +286,10 @@ def _run_attend(op, u, v, parts, nbr, later=False):
     Returns (output, loss, grads of u's weights and biases, v's, the
     parts, in that order)."""
     with T.Tape() as tp:
-        us = [] if u is None else [T.const(a) for layer in u for a in layer]
+        us = [T.const(a) for layer in u for a in layer]
         vs = [T.const(a) for layer in v for a in layer]
         pts = [T.const(a) for a in parts]
-        out = op(_pairs(us) if u is not None else None, _pairs(vs), *pts,
-                 nbr=nbr)
+        out = op(_pairs(us), _pairs(vs), *pts, nbr=nbr)
         rng = np.random.default_rng(99)
         loss = T.reduce_sum(T.mul(out, T.const(rng.normal(size=out.shape))))
         for p in pts if later else ():
@@ -308,51 +303,44 @@ ATTEND_LAYOUTS = ["cost_volume", "set_conv", "edge_only", "centre_first"]
 
 
 @pytest.mark.parametrize("later", [False, True])
-@pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("layout", ATTEND_LAYOUTS)
-def test_attend_is_bit_identical_to_the_op_chain(layout, depth, uniform,
-                                                 later):
-    u, v, parts, nbr = _attend_inputs(layout, depth, uniform, seed=3)
+def test_attend_is_bit_identical_to_the_op_chain(layout, depth, later):
+    u, v, parts, nbr = _attend_inputs(layout, depth, seed=3)
     out, loss, grads = _run_attend(T.attend, u, v, parts, nbr, later)
     want, want_loss, want_grads = _run_attend(attend_chain, u, v, parts, nbr,
                                               later)
     assert _bits(out) == _bits(want)
     assert loss == want_loss
-    assert len(grads) == 2 * depth * (1 if uniform else 2) + len(parts)
+    assert len(grads) == 4 * depth + len(parts)
     for i, (g, wg) in enumerate(zip(grads, want_grads)):
         assert _bits(g) == _bits(wg), i
-    eager = T.attend(None if uniform else
-                     [(T.const(w), T.const(b)) for w, b in u],
+    eager = T.attend([(T.const(w), T.const(b)) for w, b in u],
                      [(T.const(w), T.const(b)) for w, b in v],
                      *[T.const(a) for a in parts], nbr=nbr)
     assert eager.tape is None
     assert eager.data.tobytes() == out.tobytes()
 
 
-@pytest.mark.parametrize("uniform", [False, True])
-def test_attend_gradients_match_central_differences(uniform):
-    u, v, parts, nbr = _attend_inputs("cost_volume", 2, uniform)
+def test_attend_gradients_match_central_differences():
+    u, v, parts, nbr = _attend_inputs("cost_volume", 2)
     _, _, grads = _run_attend(T.attend, u, v, parts, nbr)
-    stacks = ([] if u is None else [u]) + [v]
-    arrays = [a for s in stacks for layer in s for a in layer] + parts
+    arrays = [a for s in (u, v) for layer in s for a in layer] + parts
 
     def loss_at(i, x):
         moved = list(arrays)
         moved[i] = x
-        layers = [_pairs(moved[j:j + 4]) for j in range(0, 4 * len(stacks), 4)]
-        return _run_attend(T.attend, None if u is None else layers[0],
-                           layers[-1], moved[4 * len(stacks):], nbr)[1]
+        return _run_attend(T.attend, _pairs(moved[0:4]), _pairs(moved[4:8]),
+                           moved[8:], nbr)[1]
 
     for i, (x, g) in enumerate(zip(arrays, grads)):
         assert grad_gap(g, finite_diff(lambda y: loss_at(i, y), x)) < 1e-4, i
 
 
-@pytest.mark.parametrize("uniform", [False, True])
-def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
-    u, v, parts, nbr = _attend_inputs("cost_volume", 3, uniform)
+def test_attend_records_one_node_that_keeps_its_parts_only():
+    u, v, parts, nbr = _attend_inputs("cost_volume", 3)
     with T.Tape() as tp:
-        us = None if u is None else [(T.const(w), T.const(b)) for w, b in u]
+        us = [(T.const(w), T.const(b)) for w, b in u]
         vs = [(T.const(w), T.const(b)) for w, b in v]
         pts = [T.const(a) for a in parts]
         T.attend(us, vs, *pts, nbr=nbr)
@@ -361,8 +349,7 @@ def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
     # the parts are listed twice, u's copy first, so that the tape adds
     # u's gradient and then v's into each part
     ids = [t.nid for t in pts]
-    stacks = ([] if us is None else [us]) + [vs]
-    want = [i for s in stacks
+    want = [i for s in (us, vs)
             for i in [t.nid for layer in s for t in layer] + ids]
     assert list(tp.nodes[-1].parents) == want
     held = _closure_arrays(tp.nodes[-1].backward_fn)
@@ -393,8 +380,17 @@ def _centre_rows(stack):
     (lambda u, v, ps, nbr: ([], v, ps, nbr), "at least one layer"),
 ], ids=["widths", "table-rank", "no-edge-part", "empty-v", "empty-u"])
 def test_attend_rejects_mismatched_inputs(bad, match):
-    u, v, parts, nbr = bad(*_attend_inputs("cost_volume", 2, False))
+    u, v, parts, nbr = bad(*_attend_inputs("cost_volume", 2))
     with pytest.raises(T.TensorError, match=match):
         T.attend([(T.const(w), T.const(b)) for w, b in u],
                  [(T.const(w), T.const(b)) for w, b in v],
+                 *[T.const(a) for a in parts], nbr=nbr)
+
+
+def test_attend_has_no_uniform_mode():
+    # a uniform stage is the mean of one mlp (CostVolume builds it), so
+    # attend always takes logit layers
+    _, v, parts, nbr = _attend_inputs("cost_volume", 2)
+    with pytest.raises(T.TensorError, match="at least one layer"):
+        T.attend(None, [(T.const(w), T.const(b)) for w, b in v],
                  *[T.const(a) for a in parts], nbr=nbr)

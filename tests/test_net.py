@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+import lidom.geom
+import lidom.headmask
 import lidom.net
 from conftest import grad_gap
 from lidom import tensor as T
@@ -162,23 +164,45 @@ def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
     assert len(convs) == fps_calls + (first == "penultimate")
 
 
-def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
+@pytest.mark.parametrize("mode", ["attentive", "uniform"])
+def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch,
+                                                                 mode):
     mlps = _counting(monkeypatch, SharedMLP, "__call__")
     handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
     cvs = _counting(monkeypatch, CostVolume, "__call__")
-    tape = _train_step(OdometryNet(desk_config()), *_scans())[0]
+    net = OdometryNet(desk_config(cost_volume_mode=mode))
+    tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_fc = sum(len(fc.layers) for fc, *_ in fcs)
     assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
-    # each cost volume is two attend nodes, one per stage, and each of them
-    # takes the tensors of two SharedMLPs, u and v, that record no mlp node
-    assert kinds.count("attend") == 2 * len(cvs) > 0
-    assert len(handed) == len(mlps) + 2 * kinds.count("attend")
-    # the pair records every kind the op set has, and no other
-    assert set(kinds) == {"leaf", "add", "sub", "mul", "div", "sqrt",
-                          "matmul", "mlp", "attend", "softmax", "sum",
-                          "max", "reshape", "gather"}
+    # an attentive cost volume is two attend nodes, one per stage, and each
+    # of them takes the tensors of two SharedMLPs, u and v, that record no
+    # mlp node; a uniform stage is its v's mlp node, a sum and a mul
+    attends = 2 * len(cvs) if mode == "attentive" else 0
+    assert len(cvs) > 0 and kinds.count("attend") == attends
+    assert len(handed) == len(mlps) + 2 * attends
+    # the pair records every kind the op set has, attend only if attentive,
+    # and no other
+    ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
+           "softmax", "sum", "max", "reshape", "gather"}
+    assert set(kinds) == ops | ({"attend"} if attends else set())
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
+                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+def test_every_rotated_quaternion_is_unit(monkeypatch, overrides):
+    # rotate_points_t does not normalize q, so each caller must hand it a
+    # unit one: warp_refine the coarse pose, pose_compose_t pose_head's dq
+    calls = _counting(monkeypatch, lidom.geom, "rotate_points_t")
+    monkeypatch.setattr(lidom.headmask, "rotate_points_t",
+                        lidom.geom.rotate_points_t)
+    OdometryNet(desk_config(**overrides)).forward(*_scans())
+    refine = overrides.get("use_warp_refinement", True)
+    warp = overrides.get("use_warp", True)
+    assert len(calls) == 3 * refine * (1 + warp)
+    for q, *_ in calls:
+        assert abs(np.linalg.norm(q.data) - 1.0) <= 1e-15
 
 
 def test_no_warp_changes_the_refined_poses():
