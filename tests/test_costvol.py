@@ -89,8 +89,7 @@ def test_gradients_reach_all_four_mlp_blocks():
         assert grad_gap(analytic, numeric) < 1e-4, block
 
 
-@pytest.mark.parametrize("mode", ["attentive", "uniform"])
-def test_gradient_through_first_cloud_coordinates(mode):
+def _check_first_cloud_gradient(mode):
     # the warp path differentiates through coords1, so this must be exact
     p1, f1, p2, f2 = _clouds(seed=6, n1=7, n2=8, c=3)
     _, cv = _cv(mode, c=3, k1=3, k2=2, seed=9)
@@ -106,6 +105,14 @@ def test_gradient_through_first_cloud_coordinates(mode):
     loss, tp, tc = run(p1)
     numeric = finite_diff(lambda v: run(v)[0].item(), p1)
     assert grad_gap(tp.grad(tc), numeric) < 1e-4
+
+
+def test_gradient_through_first_cloud_coordinates():
+    _check_first_cloud_gradient("attentive")
+
+
+def test_uniform_gradient_through_first_cloud_coordinates():
+    _check_first_cloud_gradient("uniform")
 
 
 def test_attention_weights_are_a_distribution():

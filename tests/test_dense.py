@@ -301,11 +301,18 @@ def _run_attend(op, u, v, parts, nbr, later=False):
 
 ATTEND_LAYOUTS = ["cost_volume", "set_conv", "edge_only", "centre_first"]
 
+# attend has one mode, learned weights: the uniform stage is the mean of one
+# mlp that CostVolume builds from mlp, sum and mul. The `uniform` axis keeps
+# only False so that the learned-weight case ids stay as they were.
+LEARNED_WEIGHTS = pytest.mark.parametrize("uniform", [False])
+
 
 @pytest.mark.parametrize("later", [False, True])
+@LEARNED_WEIGHTS
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("layout", ATTEND_LAYOUTS)
-def test_attend_is_bit_identical_to_the_op_chain(layout, depth, later):
+def test_attend_is_bit_identical_to_the_op_chain(layout, depth, uniform,
+                                                 later):
     u, v, parts, nbr = _attend_inputs(layout, depth, seed=3)
     out, loss, grads = _run_attend(T.attend, u, v, parts, nbr, later)
     want, want_loss, want_grads = _run_attend(attend_chain, u, v, parts, nbr,
@@ -322,7 +329,8 @@ def test_attend_is_bit_identical_to_the_op_chain(layout, depth, later):
     assert eager.data.tobytes() == out.tobytes()
 
 
-def test_attend_gradients_match_central_differences():
+@LEARNED_WEIGHTS
+def test_attend_gradients_match_central_differences(uniform):
     u, v, parts, nbr = _attend_inputs("cost_volume", 2)
     _, _, grads = _run_attend(T.attend, u, v, parts, nbr)
     arrays = [a for s in (u, v) for layer in s for a in layer] + parts
@@ -337,7 +345,8 @@ def test_attend_gradients_match_central_differences():
         assert grad_gap(g, finite_diff(lambda y: loss_at(i, y), x)) < 1e-4, i
 
 
-def test_attend_records_one_node_that_keeps_its_parts_only():
+@LEARNED_WEIGHTS
+def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
     u, v, parts, nbr = _attend_inputs("cost_volume", 3)
     with T.Tape() as tp:
         us = [(T.const(w), T.const(b)) for w, b in u]

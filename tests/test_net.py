@@ -164,9 +164,7 @@ def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
     assert len(convs) == fps_calls + (first == "penultimate")
 
 
-@pytest.mark.parametrize("mode", ["attentive", "uniform"])
-def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch,
-                                                                 mode):
+def _check_taped_pair_nodes(monkeypatch, mode):
     mlps = _counting(monkeypatch, SharedMLP, "__call__")
     handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
@@ -187,6 +185,14 @@ def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch,
     ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
            "softmax", "sum", "max", "reshape", "gather"}
     assert set(kinds) == ops | ({"attend"} if attends else set())
+
+
+def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
+    _check_taped_pair_nodes(monkeypatch, "attentive")
+
+
+def test_a_uniform_taped_pair_records_no_attend_node(monkeypatch):
+    _check_taped_pair_nodes(monkeypatch, "uniform")
 
 
 @pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
