@@ -16,7 +16,8 @@ level instead of the penultimate one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,26 +68,28 @@ class NetConfig:
                 (self.n3, self.c3), (self.n4, self.c4)]
 
     def validate(self) -> None:
+        """Raise NetError naming the field unless each int field (sizes,
+        widths, k's, init seed) holds a non-bool integer, each bool field
+        (the ablation flags) a bool, and the values fit together."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(v, (bool, np.bool_)):
+                raise NetError(f"{f.name} must be a bool, got {v!r}")
+            if f.type != "int":
+                continue
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise NetError(f"{f.name} must be an integer, got {v!r}")
+            if f.name == "init_seed" and v < 0:
+                raise NetError(f"init_seed must be non-negative, got {v}")
+            if f.name != "init_seed" and v < 1:
+                raise NetError(f"{f.name} must be positive, got {v}")
         counts = [self.n_input, self.n1, self.n2, self.n3, self.n4]
-        if any(c < 1 for c in counts):
-            raise NetError("level point counts must be positive")
         if any(a < b for a, b in zip(counts, counts[1:])):
             raise NetError(f"level counts must not increase: {counts}")
-        if any(c < 1 for c in (self.c1, self.c2, self.c3, self.c4)):
-            raise NetError("channel widths must be positive")
-        for name in ("knn_k", "cv_k1", "cv_k2", "up_k",
-                     "fc_hidden1", "fc_hidden2"):
-            if getattr(self, name) < 1:
-                raise NetError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        if self.knn_k > self.n4:
-            raise NetError(
-                f"knn_k={self.knn_k} exceeds the coarsest level ({self.n4})")
-        if self.up_k > self.n4:
-            raise NetError(
-                f"up_k={self.up_k} exceeds the coarsest level ({self.n4})")
-        if self.cv_k1 > self.n4 or self.cv_k2 > self.n4:
-            raise NetError("cost-volume neighbor counts exceed level size")
+        for name in ("knn_k", "up_k", "cv_k1", "cv_k2"):
+            if getattr(self, name) > self.n4:
+                raise NetError(f"{name}={getattr(self, name)} exceeds the "
+                               f"coarsest level ({self.n4})")
         if self.first_embedding not in ("penultimate", "last"):
             raise NetError(
                 f"first_embedding must be penultimate or last, "

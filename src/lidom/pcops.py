@@ -23,7 +23,7 @@ that weight, neighbor features once per point before the (n, k) gather and
 center features once per center.  That equals the concat form up to
 summation order.  Every SharedMLP call is one T.mlp op, whose backward
 recomputes the hidden layers, and every FcStack layer a one-layer T.mlp;
-an attentive cost-volume stage hands its two SharedMLPs' tensors to one
+an attentive cost-volume stage hands its two SharedMLPs' layers to one
 T.attend op.
 Shared MLPs apply relu on every layer; the FC stacks used by pose heads
 elsewhere do not (see headmask).
@@ -176,6 +176,24 @@ def random_sample(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=size, replace=size > n)
 
 
+def _layers(store: T.ParamStore, prefix: str, dims: list[int],
+            rng: np.random.Generator, gain: float,
+            out_bias: np.ndarray | None = None
+            ) -> list[tuple[T.Parameter, T.Parameter]]:
+    """The (weight, bias) parameters "{prefix}/{i}/W" and "/b" of a stack
+    from dims[i] to dims[i + 1] channels, layer by layer: weights drawn
+    N(0, gain / fan_in), biases zero but out_bias on the last layer if
+    given (the parameter copies it)."""
+    layers = []
+    for i, (fan_in, w) in enumerate(zip(dims, dims[1:])):
+        weight = store.create(f"{prefix}/{i}/W", rng.normal(size=(fan_in, w))
+                              * np.sqrt(gain / fan_in))
+        last = out_bias is not None and i == len(dims) - 2
+        bias = out_bias if last else np.zeros(w)
+        layers.append((weight, store.create(f"{prefix}/{i}/b", bias)))
+    return layers
+
+
 class SharedMLP:
     """Per-row matmul + bias + relu stack applied pointwise.
 
@@ -187,19 +205,11 @@ class SharedMLP:
     def __init__(self, store: T.ParamStore, prefix: str, in_width: int,
                  widths: list[int], rng: np.random.Generator,
                  relu_last: bool = True) -> None:
-        self.layers: list[tuple[T.Parameter, T.Parameter]] = []
+        self.layers = _layers(store, prefix, [in_width, *widths], rng, 2)
         self.relu_last = relu_last
-        fan_in = in_width
-        for i, w in enumerate(widths):
-            scale = np.sqrt(2.0 / fan_in)
-            weight = store.create(f"{prefix}/{i}/W",
-                                  rng.normal(size=(fan_in, w)) * scale)
-            bias = store.create(f"{prefix}/{i}/b", np.zeros(w))
-            self.layers.append((weight, bias))
-            fan_in = w
 
     def tensors(self, *parts: T.Tensor) -> list[tuple[T.Tensor, T.Tensor]]:
-        """Each layer's (weight, bias) tensors, for an op over input rows
+        """Each layer's (weight, bias) parameters, for an op over input rows
         that concat `parts` in order; raises PcopsError unless the parts'
         widths sum to the first layer's rows."""
         widths = [p.shape[-1] for p in parts]
@@ -207,7 +217,7 @@ class SharedMLP:
         if sum(widths) != rows:
             raise PcopsError(f"input widths {widths} do not sum to the "
                              f"first layer's {rows} rows")
-        return [(w.tensor(), b.tensor()) for w, b in self.layers]
+        return self.layers
 
     def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
                  ) -> T.Tensor:
@@ -227,22 +237,12 @@ class FcStack:
     def __init__(self, store: T.ParamStore, prefix: str, in_width: int,
                  widths: list[int], rng: np.random.Generator,
                  out_bias: np.ndarray | None = None) -> None:
-        self.layers: list[tuple[T.Parameter, T.Parameter]] = []
-        fan_in = in_width
-        for i, w in enumerate(widths):
-            scale = np.sqrt(1.0 / fan_in)
-            weight = store.create(f"{prefix}/{i}/W",
-                                  rng.normal(size=(fan_in, w)) * scale)
-            init_b = np.zeros(w)
-            if out_bias is not None and i == len(widths) - 1:
-                init_b = np.asarray(out_bias, dtype=np.float64).copy()
-            bias = store.create(f"{prefix}/{i}/b", init_b)
-            self.layers.append((weight, bias))
-            fan_in = w
+        self.layers = _layers(store, prefix, [in_width, *widths], rng, 1,
+                              out_bias)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        for weight, bias in self.layers:
-            x = T.mlp([(weight.tensor(), bias.tensor())], x, relu_last=False)
+        for layer in self.layers:
+            x = T.mlp([layer], x, relu_last=False)
         return x
 
 

@@ -1,16 +1,19 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-A Tape records every op applied while it is active; backward() replays the
-record in reverse and accumulates gradients into the leaves.  Ops called with
-no active tape run eagerly and return constant tensors, so inference runs the
-same code as training and records nothing.  Eager ops also compute only their
+A Tape records only what a parameter reaches: an op applied while it is
+active gets a node if an input is a Parameter or an output the tape
+recorded.  Parameters are the only leaves and constants get no node, so
+backward() replays the record in reverse and returns the parameters'
+gradients; the tape has no grad().  Ops called with no active tape run
+eagerly and return constant tensors, so inference runs the same code as
+training and records nothing.  Eager ops also compute only their
 output: state that only backward reads (reduce_max's argmax, mlp's relu
 mask) is built while a tape records and never otherwise.  One tape records
 at a time: entering a tape while another records raises TensorError.
 
 A tape holds only what its backward reads (op closures keep arrays and
-shapes, never a Tensor; backward keeps leaf gradients only) and parameters
-never point at it, so reference counting frees it once its caller lets go.
+shapes, never a Tensor; it keeps no gradient) and parameters never point
+at it, so reference counting frees it once its caller lets go.
 mlp and attend are the two ops that recompute in backward: they keep their
 input parts only and rebuild the per-edge arrays from them (mlp its hidden
 layers, attend also both stacks' outputs and the softmax weights), which
@@ -48,13 +51,12 @@ class TensorError(ValueError):
 class Tensor:
     """A dense float64 array, optionally bound to a node on a tape."""
 
-    __slots__ = ("data", "tape", "nid", "param_name")
+    __slots__ = ("data", "tape", "nid")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.tape: Tape | None = None
         self.nid: int | None = None
-        self.param_name: str | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,7 +76,7 @@ def const(data) -> Tensor:
 class _Node:
     __slots__ = ("kind", "parents", "backward_fn", "shape")
 
-    def __init__(self, kind: str, parents: tuple[int, ...],
+    def __init__(self, kind: str, parents: tuple[int | None, ...],
                  backward_fn: Callable | None, shape: tuple[int, ...]) -> None:
         self.kind = kind
         self.parents = parents
@@ -86,19 +88,20 @@ _ACTIVE: Tape | None = None   # the one tape recording, if any
 
 
 class Tape:
-    """Ordered op record.  Enter to record, backward() later; entering one
-    while another tape records raises TensorError.
+    """Ordered record of the ops a parameter reaches.  Enter to record,
+    backward() later; entering one while another tape records raises
+    TensorError.
 
     Leaving the context stops recording but keeps the node structure, so
-    backward() and grad() work after exit.  Parameter leaves are keyed by
-    name on the tape; other tensors are tagged with their tape and node id.
-    backward() drops each interior gradient once it has propagated it.
+    backward() works after exit.  Parameters are the leaves, keyed by name on
+    the tape and never tagged; each recorded output is tagged with its tape
+    and node id.  There is no grad(): backward() returns the parameters'
+    gradients and drops each interior one once it has propagated it.
     """
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
-        self._grads: list[np.ndarray | None] | None = None
-        self._param_leaves: dict[str, tuple[Tensor, int]] = {}
+        self._param_leaves: dict[str, tuple[Parameter, int]] = {}
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -114,42 +117,36 @@ class Tape:
         _ACTIVE = None
 
     def _nid(self, t: Tensor) -> int | None:
-        """t's node on this tape, or None if the tape has not seen it."""
-        if t.param_name is None:
+        """t's node on this tape, a parameter's made on first sight; None
+        for a constant."""
+        if not isinstance(t, Parameter):
             return t.nid if t.tape is self else None
-        leaf = self._param_leaves.get(t.param_name)
-        if leaf is not None and leaf[0] is not t:
-            raise TensorError(
-                f"two parameters named {t.param_name!r} on one tape")
-        return None if leaf is None else leaf[1]
-
-    def _ensure_node(self, t: Tensor) -> int:
-        nid = self._nid(t)
-        if nid is not None:
-            return nid
-        nid = len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, t.data.shape))
-        if t.param_name is None:
-            t.tape = self
-            t.nid = nid
-        else:
-            self._param_leaves[t.param_name] = (t, nid)
-        return nid
+        leaf = self._param_leaves.get(t.name)
+        if leaf is None:
+            leaf = self._param_leaves[t.name] = (t, len(self.nodes))
+            self.nodes.append(_Node("leaf", (), None, t.data.shape))
+        elif leaf[0] is not t:
+            raise TensorError(f"two parameters named {t.name!r} on one tape")
+        return leaf[1]
 
     def _record(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
                 backward_fn: Callable) -> None:
-        pids = tuple(self._ensure_node(t) for t in inputs)
-        out.tape = self
-        out.nid = len(self.nodes)
-        self.nodes.append(_Node(kind, pids, backward_fn, out.data.shape))
+        """Record out unless every input is a constant."""
+        pids = tuple(self._nid(t) for t in inputs)
+        if any(pid is not None for pid in pids):
+            out.tape = self
+            out.nid = len(self.nodes)
+            self.nodes.append(_Node(kind, pids, backward_fn, out.data.shape))
 
     def backward(self, root: Tensor,
                  store: "ParamStore | None" = None) -> dict[str, np.ndarray]:
-        """Accumulate d(root)/d(leaf) for every leaf; return parameter grads.
+        """Return d(root)/d(parameter) for every parameter on the tape.
 
-        root must be scalar.  The returned map covers every trainable
-        parameter in `store` (zeros for parameters the graph never touched);
-        without a store it covers just the parameters the tape saw.
+        root must be scalar and reached by a parameter (an output this tape
+        recorded).  Constant parents get no gradient.  The returned map
+        covers every trainable parameter in `store` (zeros for parameters
+        the graph never touched); without a store it covers just the
+        parameters the tape saw.
 
         Nodes run from the last to the first, and each adds its parent
         gradients in parent order.  A node that lists one tensor twice, with
@@ -157,12 +154,13 @@ class Tape:
         nodes gave it: attend lists its parts twice to add u's and v's
         gradients as two separate nodes would.
         """
-        rid = self._nid(root)
-        if rid is None:
-            raise TensorError("backward root is not on this tape")
+        if root.tape is not self:
+            raise TensorError("backward root is not on this tape: no "
+                              "parameter reaches it")
         if root.data.size != 1:
             raise TensorError(
                 f"backward root must be scalar, got shape {root.data.shape}")
+        rid = root.nid
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[rid] = np.ones(self.nodes[rid].shape, dtype=np.float64)
         for nid in range(rid, -1, -1):
@@ -173,13 +171,12 @@ class Tape:
             grads[nid] = None   # interior: spent once propagated
             parent_grads = node.backward_fn(g)
             for pid, pg in zip(node.parents, parent_grads):
-                if pg is None:
+                if pid is None or pg is None:
                     continue
                 if grads[pid] is None:
                     grads[pid] = pg
                 else:
                     grads[pid] = grads[pid] + pg
-        self._grads = grads
         out: dict[str, np.ndarray] = {}
         for name, (_, nid) in self._param_leaves.items():
             if grads[nid] is None:
@@ -190,19 +187,6 @@ class Tape:
                 if p.trainable and p.name not in out:
                     out[p.name] = np.zeros_like(p.value)
         return out
-
-    def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward() root with respect to leaf t."""
-        if self._grads is None:
-            raise TensorError("backward has not run on this tape")
-        nid = self._nid(t)
-        if nid is None:
-            raise TensorError("tensor is not on this tape")
-        if self.nodes[nid].kind != "leaf":
-            raise TensorError("backward keeps leaf gradients only; "
-                              "this tensor is an interior node")
-        g = self._grads[nid]
-        return g if g is not None else np.zeros(t.data.shape)
 
 
 def _make(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -640,32 +624,31 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 _NAME_RE = re.compile(r"^[A-Za-z0-9_./-]+$")
 
 
-class Parameter:
-    """Named trainable array.  tensor() hands out one shared Tensor object so
-    every forward pass records the same leaf identity."""
+class Parameter(Tensor):
+    """Named trainable tensor, the tape's one kind of leaf: ops take it as
+    they take any tensor, and a tape keys it by name and never tags it, so
+    it keeps no finished tape alive."""
+
+    __slots__ = ("name", "trainable")
 
     def __init__(self, name: str, value, trainable: bool = True) -> None:
         if not _NAME_RE.match(name):
             raise TensorError(f"bad parameter name {name!r}")
+        super().__init__(np.array(value, dtype=np.float64))
         self.name = name
         self.trainable = trainable
-        self._t = Tensor(np.array(value, dtype=np.float64))
-        self._t.param_name = name
 
     @property
     def value(self) -> np.ndarray:
-        return self._t.data
+        return self.data
 
     @value.setter
     def value(self, v) -> None:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != self._t.data.shape:
+        if v.shape != self.data.shape:
             raise TensorError(
-                f"parameter {self.name}: shape {v.shape} != {self._t.data.shape}")
-        self._t.data = v
-
-    def tensor(self) -> Tensor:
-        return self._t
+                f"parameter {self.name}: shape {v.shape} != {self.data.shape}")
+        self.data = v
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.value.shape})"

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from lidom import tensor as T
+
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar-valued f at x, in float64."""
@@ -31,3 +33,11 @@ def grad_gap(analytic: np.ndarray, numeric: np.ndarray,
     small = np.abs(analytic) < abs_floor
     rel = np.where(small, diff, diff / np.where(scale == 0.0, 1.0, scale))
     return float(rel.max()) if rel.size else 0.0
+
+
+def params(*arrays, prefix: str = "x") -> list:
+    """One T.Parameter per array, named prefix0, prefix1, ... in order.  A
+    tape records only what a parameter reaches and returns parameters'
+    gradients only, so a test takes an input's gradient by making the input
+    a parameter and reading its name from Tape.backward's map."""
+    return [T.Parameter(f"{prefix}{i}", a) for i, a in enumerate(arrays)]

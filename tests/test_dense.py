@@ -16,7 +16,7 @@ softmax_axis, mul and reduce_sum.
 import numpy as np
 import pytest
 
-from conftest import finite_diff, grad_gap
+from conftest import finite_diff, grad_gap, params
 from lidom import tensor as T
 
 N, K, N_REF, C = 6, 4, 5, 3
@@ -73,12 +73,12 @@ def _run(op, w, b, parts, nbr, relu):
     """op under a tape, read out through a fixed random projection; returns
     (output, loss, [grad of w, grad of b, grads of the parts])."""
     with T.Tape() as tp:
-        ts = [T.const(a) for a in [w, b] + parts]
+        ts = params(w, b, *parts)
         out = op(*ts, nbr=nbr, relu=relu)
         proj = np.random.default_rng(99).normal(size=out.shape)
         loss = T.reduce_sum(T.mul(out, T.const(proj)))
-    tp.backward(loss)
-    return out.data, loss.item(), [tp.grad(t) for t in ts]
+    grads = tp.backward(loss)
+    return out.data, loss.item(), [grads[t.name] for t in ts]
 
 
 def _bits(a):
@@ -119,7 +119,7 @@ def test_dense_is_bit_identical_to_the_op_chain(layout, relu):
 def test_dense_records_one_node_with_a_bool_mask():
     w, b, parts, nbr = _inputs("set_conv")
     with T.Tape() as tp:
-        one_layer(*[T.const(a) for a in [w, b] + parts], nbr=nbr)
+        one_layer(*params(w, b, *parts), nbr=nbr)
     kinds = [node.kind for node in tp.nodes]
     assert kinds.count("mlp") == 1 and set(kinds) == {"leaf", "mlp"}
     cells = [c.cell_contents for c in tp.nodes[-1].backward_fn.__closure__]
@@ -169,14 +169,14 @@ def _run_stack(op, layers, parts, nbr, relu_last):
     projection; returns (output, loss, grads of every weight, bias and
     part, in that order)."""
     with T.Tape() as tp:
-        ts = [T.const(a) for layer in layers for a in layer]
-        pts = [T.const(a) for a in parts]
+        ts = params(*[a for layer in layers for a in layer])
+        pts = params(*parts, prefix="part")
         out = op(list(zip(ts[::2], ts[1::2])), *pts, nbr=nbr,
                  relu_last=relu_last)
         proj = np.random.default_rng(99).normal(size=out.shape)
         loss = T.reduce_sum(T.mul(out, T.const(proj)))
-    tp.backward(loss)
-    return out.data, loss.item(), [tp.grad(t) for t in ts + pts]
+    grads = tp.backward(loss)
+    return out.data, loss.item(), [grads[t.name] for t in ts + pts]
 
 
 @pytest.mark.parametrize("relu_last", [True, False])
@@ -237,8 +237,10 @@ def _closure_arrays(fn):
 def test_mlp_records_one_node_that_keeps_no_hidden_layer(relu_last):
     layers, parts, nbr = _stack_inputs("set_conv", 3)
     with T.Tape() as tp:
-        T.mlp([(T.const(w), T.const(b)) for w, b in layers],
-              *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+        ts = params(*[a for layer in layers for a in layer])
+        pts = params(*parts, prefix="part")
+        T.mlp(list(zip(ts[::2], ts[1::2])), *pts, nbr=nbr,
+              relu_last=relu_last)
     kinds = [node.kind for node in tp.nodes]
     assert kinds.count("mlp") == 1 and set(kinds) == {"leaf", "mlp"}
     held = _closure_arrays(tp.nodes[-1].backward_fn)
@@ -248,7 +250,7 @@ def test_mlp_records_one_node_that_keeps_no_hidden_layer(relu_last):
     assert masks == ([(N, K, C)] if relu_last else [])
     # what it keeps per edge is its parts, by reference, and that mask
     per_edge = [a for a in held if a.ndim == 3 and a.dtype != bool]
-    assert all(any(a is p for p in parts) for a in per_edge)
+    assert all(any(a is p.data for p in pts) for a in per_edge)
 
 
 def test_mlp_rejects_an_empty_stack():
@@ -286,17 +288,17 @@ def _run_attend(op, u, v, parts, nbr, later=False):
     Returns (output, loss, grads of u's weights and biases, v's, the
     parts, in that order)."""
     with T.Tape() as tp:
-        us = [T.const(a) for layer in u for a in layer]
-        vs = [T.const(a) for layer in v for a in layer]
-        pts = [T.const(a) for a in parts]
+        us = params(*[a for layer in u for a in layer], prefix="u")
+        vs = params(*[a for layer in v for a in layer], prefix="v")
+        pts = params(*parts, prefix="part")
         out = op(_pairs(us), _pairs(vs), *pts, nbr=nbr)
         rng = np.random.default_rng(99)
         loss = T.reduce_sum(T.mul(out, T.const(rng.normal(size=out.shape))))
         for p in pts if later else ():
             term = T.mul(p, T.const(rng.normal(size=p.shape)))
             loss = T.add(loss, T.reduce_sum(term))
-    tp.backward(loss)
-    return out.data, loss.item(), [tp.grad(t) for t in us + vs + pts]
+    grads = tp.backward(loss)
+    return out.data, loss.item(), [grads[t.name] for t in us + vs + pts]
 
 
 ATTEND_LAYOUTS = ["cost_volume", "set_conv", "edge_only", "centre_first"]
@@ -349,18 +351,20 @@ def test_attend_gradients_match_central_differences(uniform):
 def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
     u, v, parts, nbr = _attend_inputs("cost_volume", 3)
     with T.Tape() as tp:
-        us = [(T.const(w), T.const(b)) for w, b in u]
-        vs = [(T.const(w), T.const(b)) for w, b in v]
-        pts = [T.const(a) for a in parts]
+        us = _pairs(params(*[a for layer in u for a in layer], prefix="u"))
+        vs = _pairs(params(*[a for layer in v for a in layer], prefix="v"))
+        pts = params(*parts, prefix="part")
         T.attend(us, vs, *pts, nbr=nbr)
     kinds = [node.kind for node in tp.nodes]
     assert kinds.count("attend") == 1 and set(kinds) == {"leaf", "attend"}
     # the parts are listed twice, u's copy first, so that the tape adds
-    # u's gradient and then v's into each part
-    ids = [t.nid for t in pts]
-    want = [i for s in (us, vs)
-            for i in [t.nid for layer in s for t in layer] + ids]
-    assert list(tp.nodes[-1].parents) == want
+    # u's gradient and then v's into each part; parameters are never
+    # tagged, and the tape numbers their leaves in the order it first sees
+    # them
+    names = [t.name for s in (us, vs)
+             for t in [t for layer in s for t in layer] + pts]
+    leaf = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    assert list(tp.nodes[-1].parents) == [leaf[name] for name in names]
     held = _closure_arrays(tp.nodes[-1].backward_fn)
     # no value, logit, weight or hidden array, and no relu mask
     per_edge = ({(N, K, c) for c in (C,) + HIDDEN}
@@ -369,7 +373,7 @@ def test_attend_records_one_node_that_keeps_its_parts_only(uniform):
                 if a.shape in per_edge and a.dtype.kind == "f"]
     assert not [a.shape for a in held if a.dtype == bool]
     # what it keeps per edge is its parts, by reference
-    assert all(any(a is p for p in parts) for a in held
+    assert all(any(a is p.data for p in pts) for a in held
                if a.ndim == 3 and a.dtype.kind == "f")
 
 

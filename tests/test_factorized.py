@@ -83,15 +83,17 @@ def _offset_biases(store, seed=0):
 
 
 def _taped(fn, store, inputs):
-    """fn on const inputs under a tape, read out through a fixed random
-    projection; returns (output, parameter grads, input grads)."""
+    """fn on inputs made parameters under a tape, read out through a fixed
+    random projection; returns (output, the store's parameter grads, input
+    grads)."""
     with T.Tape() as tp:
-        ts = [None if x is None else T.const(x) for x in inputs]
+        ts = [None if x is None else T.Parameter(f"input{i}", x)
+              for i, x in enumerate(inputs)]
         out = fn(*ts)
         proj = np.random.default_rng(99).standard_normal(out.shape)
         loss = T.reduce_sum(T.mul(out, T.const(proj)))
     grads = tp.backward(loss, store)
-    return out.data, grads, [tp.grad(t) for t in ts if t is not None]
+    return out.data, grads, [grads.pop(t.name) for t in ts if t is not None]
 
 
 def _close(got, want):

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff, grad_gap
+from conftest import finite_diff, grad_gap, params
 from lidom import geom as G
 from lidom import tensor as T
 
@@ -153,10 +153,9 @@ def test_normalize_t_unit_across_magnitudes():
 
 def test_normalize_t_finite_gradient_at_origin():
     with T.Tape() as tp:
-        q = T.const(np.zeros(4))
+        q = T.Parameter("q", np.zeros(4))
         loss = T.reduce_sum(G.quat_normalize_t(q))
-    tp.backward(loss)
-    assert np.all(np.isfinite(tp.grad(q)))
+    assert np.all(np.isfinite(tp.backward(loss)["q"]))
 
 
 def test_rotate_points_t_matches_value():
@@ -176,19 +175,18 @@ def test_rotate_points_t_gradients():
 
     def run(q, t, p):
         with T.Tape() as tp:
-            tq, tt, tpnts = T.const(q), T.const(t), T.const(p)
+            tq, tt, tpnts = params(q, t, p)
             out = G.rotate_points_t(tq, tt, tpnts)
             loss = T.reduce_sum(T.mul(out, T.const(wv)))
-        tp.backward(loss)
-        return loss, tp, tq, tt, tpnts
+        return loss, tp.backward(loss)
 
-    loss, tp, tq, tt, tpts = run(qv, tv, pv)
-    for tensor, val, arg in ((tq, qv, 0), (tt, tv, 1), (tpts, pv, 2)):
+    loss, grads = run(qv, tv, pv)
+    for name, val, arg in (("x0", qv, 0), ("x1", tv, 1), ("x2", pv, 2)):
         def f(x, arg=arg):
             args = [qv, tv, pv]
             args[arg] = x
             return run(*args)[0].item()
-        assert grad_gap(tp.grad(tensor), finite_diff(f, val)) < 1e-4
+        assert grad_gap(grads[name], finite_diff(f, val)) < 1e-4
 
 
 def test_pose_compose_t_matches_value():
@@ -217,17 +215,15 @@ def test_pose_compose_t_gradients():
 
     def run(dq, dt, q, t):
         with T.Tape() as tp:
-            ts = [T.const(v) for v in (dq, dt, q, t)]
-            q_out, t_out = G.pose_compose_t(*ts)
+            q_out, t_out = G.pose_compose_t(*params(dq, dt, q, t))
             loss = T.add(T.reduce_sum(T.mul(q_out, T.const(w_q))),
                          T.reduce_sum(T.mul(t_out, T.const(w_t))))
-        tp.backward(loss)
-        return loss, tp, ts
+        return loss, tp.backward(loss)
 
-    loss, tp, ts = run(*vals)
+    loss, grads = run(*vals)
     for i in range(4):
         def f(x, i=i):
             args = list(vals)
             args[i] = x
             return run(*args)[0].item()
-        assert grad_gap(tp.grad(ts[i]), finite_diff(f, vals[i])) < 1e-4
+        assert grad_gap(grads[f"x{i}"], finite_diff(f, vals[i])) < 1e-4

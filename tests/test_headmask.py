@@ -100,17 +100,17 @@ def test_pose_head_gradients():
     def run(emb_v, wv):
         store[name].value = wv
         with T.Tape() as tp:
-            te = T.const(emb_v)
+            te = T.Parameter("emb", emb_v)
             q, t = H.pose_head(te, T.const(mask), fc_q, fc_t)
             loss = T.add(T.reduce_sum(T.mul(q, T.const(w))), T.reduce_sum(t))
         grads = tp.backward(loss, store)
-        return loss, tp, te, grads
+        return loss, grads
 
     w0 = store[name].value.copy()
-    loss, tp, te, grads = run(emb, w0)
+    loss, grads = run(emb, w0)
     n_emb = finite_diff(lambda v: run(v, w0)[0].item(), emb)
     n_w = finite_diff(lambda v: run(emb, v)[0].item(), w0)
-    assert grad_gap(tp.grad(te), n_emb) < 1e-4
+    assert grad_gap(grads["emb"], n_emb) < 1e-4
     assert grad_gap(grads[name], n_w) < 1e-4
 
 
@@ -194,14 +194,13 @@ def test_warp_refine_gradient_through_coarse_pose():
 
     def run(qv, tv):
         with T.Tape() as tp:
-            tq, tt = T.const(qv), T.const(tv)
+            tq, tt = T.Parameter("q", qv), T.Parameter("t", tv)
             q, t, _, _ = H.warp_refine(blk, *args, tq, tt, 2)
             loss = T.add(T.reduce_sum(T.mul(q, q)), T.reduce_sum(T.mul(t, t)))
-        tp.backward(loss)
-        return loss, tp, tq, tt
+        return loss, tp.backward(loss)
 
-    loss, tp, tq, tt = run(cq, ct)
+    loss, grads = run(cq, ct)
     n_q = finite_diff(lambda v: run(v, ct)[0].item(), cq)
     n_t = finite_diff(lambda v: run(cq, v)[0].item(), ct)
-    assert grad_gap(tp.grad(tq), n_q) < 1e-4
-    assert grad_gap(tp.grad(tt), n_t) < 1e-4
+    assert grad_gap(grads["q"], n_q) < 1e-4
+    assert grad_gap(grads["t"], n_t) < 1e-4

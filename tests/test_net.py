@@ -78,10 +78,29 @@ def test_forward_rejects_a_scan_with_fewer_distinct_points_than_level_1():
     ("up_k", 0, "up_k must be positive"),
     ("fc_hidden1", 0, "fc_hidden1 must be positive"),
     ("fc_hidden2", 0, "fc_hidden2 must be positive"),
+    # a truthy string is no flag: it would build the masked model
+    ("use_mask", "no", "use_mask must be a bool, got 'no'"),
+    ("use_warp", 0, "use_warp must be a bool, got 0"),
+    ("n1", 128.0, "n1 must be an integer, got 128.0"),
+    ("cv_k1", 4.0, "cv_k1 must be an integer, got 4.0"),
+    ("knn_k", True, "knn_k must be an integer, got True"),
+    ("c2", np.float64(16), "c2 must be an integer"),
+    ("fc_hidden1", "64", "fc_hidden1 must be an integer"),
+    ("init_seed", -1, "init_seed must be non-negative, got -1"),
+    ("init_seed", 1.0, "init_seed must be an integer, got 1.0"),
 ])
 def test_config_rejects(key, value, match):
     with pytest.raises(NetError, match=match):
         OdometryNet(desk_config(**{key: value}))
+
+
+def test_config_accepts_numpy_integers_and_bools():
+    ints = {k: np.int64(v) for k, v in vars(desk_config()).items()
+            if isinstance(v, int) and not isinstance(v, bool)}
+    net = OdometryNet(desk_config(**ints, use_warp=np.bool_(True)))
+    out = net.forward(*_scans())
+    assert _poses(out).tobytes() == \
+        _poses(OdometryNet(desk_config()).forward(*_scans())).tobytes()
 
 
 # each ablation with the parameter-name fragment it removes
@@ -193,6 +212,27 @@ def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
 
 def test_a_uniform_taped_pair_records_no_attend_node(monkeypatch):
     _check_taped_pair_nodes(monkeypatch, "uniform")
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
+                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+def test_a_taped_pair_has_a_leaf_per_parameter_it_uses_and_no_other(
+        monkeypatch, overrides):
+    # T.mlp and T.attend are the only ops handed parameters: their layers
+    handed = [_counting(monkeypatch, T, op) for op in ("mlp", "attend")]
+    net = OdometryNet(desk_config(**overrides))
+    with T.Tape() as tape:
+        loss = _pose_loss(net.forward(*_scans()))
+    used = {p.name for calls in handed for args in calls for stack in args
+            if isinstance(stack, list) for layer in stack for p in layer}
+    assert used == set(net.store.names())
+    leaves = [node for node in tape.nodes if node.kind == "leaf"]
+    assert len(leaves) == len(used)
+    # without a store, backward covers the parameters on the tape only
+    assert set(tape.backward(loss)) == used
+    # every other node has a parent a parameter reaches
+    assert all(any(pid is not None for pid in node.parents)
+               for node in tape.nodes if node.kind != "leaf")
 
 
 @pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],

@@ -274,17 +274,17 @@ def test_set_conv_gradients():
     def run(fv, wv):
         store[w_name].value = wv
         with T.Tape() as tp:
-            tf = T.const(fv)
+            tf = T.Parameter("feats", fv)
             _, out = P.set_conv(T.const(coords), tf, centers, nbr, mlp)
             loss = T.reduce_sum(T.mul(out, out))
         grads = tp.backward(loss, store)
-        return loss, tp, tf, grads
+        return loss, grads
 
     w0 = store[w_name].value.copy()
-    loss, tp, tf, grads = run(feats, w0)
+    loss, grads = run(feats, w0)
     n_f = finite_diff(lambda v: run(v, w0)[0].item(), feats)
     n_w = finite_diff(lambda v: run(feats, v)[0].item(), w0)
-    assert grad_gap(tp.grad(tf), n_f) < 1e-4
+    assert grad_gap(grads["feats"], n_f) < 1e-4
     assert grad_gap(grads[w_name], n_w) < 1e-4
 
 
@@ -301,17 +301,16 @@ def test_set_upconv_shapes_and_gradients():
 
     def run(sf):
         with T.Tape() as tp:
-            tsf = T.const(sf)
+            tsf = T.Parameter("sparse_feats", sf)
             out = P.set_upconv(T.const(dense), T.const(dense_f),
                                T.const(sparse), tsf, nbr, mlp1, mlp2)
             loss = T.reduce_sum(T.mul(out, out))
-        tp.backward(loss)
-        return loss, tp, tsf, out
+        return loss, tp.backward(loss)["sparse_feats"], out
 
-    loss, tp, tsf, out = run(sparse_f)
+    loss, grad, out = run(sparse_f)
     assert out.shape == (14, 5)
     numeric = finite_diff(lambda v: run(v)[0].item(), sparse_f)
-    assert grad_gap(tp.grad(tsf), numeric) < 1e-4
+    assert grad_gap(grad, numeric) < 1e-4
 
 
 def test_fc_stack_is_linear():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff, grad_gap
+from conftest import finite_diff, grad_gap, params
 from lidom import tensor as T
 from lidom.net import OdometryNet, desk_config
 
@@ -15,16 +15,14 @@ def _check_unary(op, x, chain=None):
     """FD-check d(sum(op(x)))/dx against the tape."""
     def run(arr):
         with T.Tape() as tp:
-            t = T.const(arr)
+            t = T.Parameter("x", arr)
             y = op(t)
             if chain is not None:
                 y = chain(y)
             loss = T.reduce_sum(y)
-        tp.backward(loss)
-        return loss, tp, t
+        return loss, tp.backward(loss)["x"]
 
-    loss, tp, t = run(x)
-    analytic = tp.grad(t)
+    loss, analytic = run(x)
 
     def f(arr):
         return run(arr)[0].item()
@@ -36,13 +34,12 @@ def _check_unary(op, x, chain=None):
 def _check_binary(op, x, y):
     def run(ax, ay):
         with T.Tape() as tp:
-            ta, tb = T.const(ax), T.const(ay)
+            ta, tb = params(ax, ay)
             loss = T.reduce_sum(op(ta, tb))
-        tp.backward(loss)
-        return loss, tp, ta, tb
+        return loss, tp.backward(loss)
 
-    loss, tp, ta, tb = run(x, y)
-    ga, gb = tp.grad(ta), tp.grad(tb)
+    loss, grads = run(x, y)
+    ga, gb = grads["x0"], grads["x1"]
     na = finite_diff(lambda a: run(a, y)[0].item(), x)
     nb = finite_diff(lambda b: run(x, b)[0].item(), y)
     assert grad_gap(ga, na) < TOL
@@ -86,10 +83,9 @@ def test_grad_sqrt():
 
 def test_sqrt_zero_gradient_is_zero():
     with T.Tape() as tp:
-        t = T.const(np.zeros(3))
+        t = T.Parameter("t", np.zeros(3))
         loss = T.reduce_sum(T.sqrt(t))
-    tp.backward(loss)
-    assert np.all(tp.grad(t) == 0.0)
+    assert np.all(tp.backward(loss)["t"] == 0.0)
 
 
 def test_grad_matmul_rank2():
@@ -130,33 +126,31 @@ def test_grad_reduce_max_axis():
 
 def test_reduce_max_tie_gradient_goes_to_first():
     with T.Tape() as tp:
-        t = T.const(np.array([[2.0, 5.0, 5.0, 1.0]]))
+        t = T.Parameter("t", np.array([[2.0, 5.0, 5.0, 1.0]]))
         loss = T.reduce_sum(T.reduce_max(t, axis=1))
-    tp.backward(loss)
-    assert tp.grad(t).tolist() == [[0.0, 1.0, 0.0, 0.0]]
+    assert tp.backward(loss)["t"].tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
 
 def _check_gather(x, idx):
     def run(arr):
         with T.Tape() as tp:
-            t = T.const(arr)
+            t = T.Parameter("x", arr)
             g = T.gather_rows(t, idx)
             loss = T.reduce_sum(T.mul(g, g))
-        tp.backward(loss)
-        return loss, tp, t, g
+        return loss, tp.backward(loss)["x"], g
 
-    loss, tp, t, g = run(x)
+    loss, grad, g = run(x)
     assert g.shape == idx.shape + x.shape[1:]
     numeric = finite_diff(lambda a: run(a)[0].item(), x)
-    assert grad_gap(tp.grad(t), numeric) < TOL
+    assert grad_gap(grad, numeric) < TOL
     # bit for bit the flat gather plus reshape
     with T.Tape() as flat_tp:
-        ft = T.const(x)
+        ft = T.Parameter("x", x)
         fg = T.reshape(T.gather_rows(ft, idx.reshape(-1)), g.shape)
         flat_loss = T.reduce_sum(T.mul(fg, fg))
-    flat_tp.backward(flat_loss)
+    flat_grad = flat_tp.backward(flat_loss)["x"]
     assert g.data.tobytes() == fg.data.tobytes()
-    assert tp.grad(t).tobytes() == flat_tp.grad(ft).tobytes()
+    assert grad.tobytes() == flat_grad.tobytes()
 
 
 def test_grad_gather_rows_with_duplicates():
@@ -178,10 +172,9 @@ def test_gather_rows_scatter_adds_in_index_order(row):
     np.add.at(want, idx.reshape(-1), g.reshape((idx.size,) + row))
     assert (want[0] == 1.0).all()
     with T.Tape() as tp:
-        a = T.const(np.zeros((3,) + row))
+        a = T.Parameter("a", np.zeros((3,) + row))
         loss = T.reduce_sum(T.mul(T.gather_rows(a, idx), T.const(g)))
-    tp.backward(loss)
-    assert tp.grad(a).tobytes() == want.tobytes()
+    assert tp.backward(loss)["a"].tobytes() == want.tobytes()
 
 
 def test_grad_reshape():
@@ -204,25 +197,23 @@ def test_composite_chain_close_to_real_use():
 
     def run(wv):
         with T.Tape() as tp:
-            tw = T.const(wv)
+            tw = T.Parameter("w", wv)
             h = T.mlp([(tw, T.const(b))], T.const(x))
             a = T.softmax_axis(h, axis=0)
             loss = T.reduce_sum(T.mul(a, h))
-        tp.backward(loss)
-        return loss, tp, tw
+        return loss, tp.backward(loss)["w"]
 
-    loss, tp, tw = run(w)
+    loss, grad = run(w)
     numeric = finite_diff(lambda v: run(v)[0].item(), w)
-    assert grad_gap(tp.grad(tw), numeric) < TOL
+    assert grad_gap(grad, numeric) < TOL
 
 
 def test_fanout_accumulates():
     with T.Tape() as tp:
-        t = T.const(np.array([2.0]))
+        t = T.Parameter("t", np.array([2.0]))
         y = T.add(T.mul(t, t), T.mul(t, T.const(np.array([3.0]))))
         loss = T.reduce_sum(y)
-    tp.backward(loss)
-    assert abs(tp.grad(t)[0] - 7.0) < 1e-12
+    assert abs(tp.backward(loss)["t"][0] - 7.0) < 1e-12
 
 
 def test_a_tensor_listed_twice_gets_its_gradients_in_parent_order():
@@ -234,31 +225,33 @@ def test_a_tensor_listed_twice_gets_its_gradients_in_parent_order():
     assert ((1.0 + big) - big, (1.0 - big) + big, 1.0 + (big - big)) \
         == (0.0, 1.0, 1.0)
     with T.Tape() as tp:
-        a = T.const(np.array([[0.5]]))
+        a = T.Parameter("a", np.array([[0.5]]))
         layer = (T.const(np.array([[big], [-big]])), T.const(np.zeros(1)))
         y = T.mlp([layer], a, a, relu_last=False)
         loss = T.add(T.reduce_sum(y), T.reduce_sum(a))
-    assert tp.nodes[y.nid].parents[-2:] == (a.nid, a.nid)
-    tp.backward(loss)
-    assert tp.grad(a).tolist() == [[0.0]]
+    # a parameter is never tagged, so the two ids are a's one leaf
+    first, second = tp.nodes[y.nid].parents[-2:]
+    assert first == second and tp.nodes[first].kind == "leaf"
+    assert tp.backward(loss)["a"].tolist() == [[0.0]]
 
 
 def test_backward_non_scalar_root_raises():
     with T.Tape() as tp:
-        t = T.const(np.ones((2, 2)))
+        t = T.Parameter("t", np.ones((2, 2)))
         y = T.mul(t, t)
     with pytest.raises(T.TensorError, match="scalar"):
         tp.backward(y)
 
 
 def test_two_live_tapes_rejected():
+    p = T.Parameter("p", np.ones(2))
     with T.Tape() as outer:
-        T.mul(T.const(np.ones(2)), T.const(np.ones(2)))
+        T.mul(p, T.const(np.ones(2)))
         with pytest.raises(T.TensorError, match="do not nest"):
             with T.Tape():
                 pass
         # the outer tape still records after the failed entry
-        T.mul(T.const(np.ones(2)), T.const(np.ones(2)))
+        T.mul(p, T.const(np.ones(2)))
     assert [n.kind for n in outer.nodes].count("mul") == 2
 
 
@@ -288,7 +281,7 @@ def test_unreached_parameter_gets_zero_grad():
     used = store.create("used", np.ones(2))
     unused = store.create("unused", np.ones(3))
     with T.Tape() as tp:
-        loss = T.reduce_sum(T.mul(used.tensor(), used.tensor()))
+        loss = T.reduce_sum(T.mul(used, used))
     grads = tp.backward(loss, store)
     assert np.array_equal(grads["used"], np.array([2.0, 2.0]))
     assert np.array_equal(grads["unused"], np.zeros(3))
@@ -301,27 +294,46 @@ def test_same_named_parameters_on_one_tape_raise():
     a = T.ParamStore().create("w", np.array([1.0]))
     b = T.ParamStore().create("w", np.array([1.0]))
     with T.Tape():
-        T.mul(T.const(np.array([5.0])), a.tensor())
+        T.mul(T.const(np.array([5.0])), a)
         with pytest.raises(T.TensorError, match="two parameters named 'w'"):
-            T.mul(T.const(np.array([7.0])), b.tensor())
+            T.mul(T.const(np.array([7.0])), b)
 
 
-def test_grad_is_kept_for_leaves_only():
+def test_a_tape_records_only_what_a_parameter_reaches():
     store = T.ParamStore()
     w = store.create("w", np.array([1.0, 2.0]))
     with T.Tape() as tp:
-        x = T.const(np.array([3.0, 4.0]))
-        h = T.mul(w.tensor(), x)
+        # ops over constants only: sqrt(9 * 1), sqrt(16 * 1) = 3, 4
+        x = T.sqrt(T.mul(T.const(np.array([9.0, 16.0])), T.const(1.0)))
+        h = T.mul(w, x)
         loss = T.reduce_sum(T.mul(h, h))
+    assert x.tape is None and x.nid is None
+    assert [n.kind for n in tp.nodes] == ["leaf", "mul", "mul", "sum"]
+    # the constant x has no node: its parent slot is None
+    assert tp.nodes[h.nid].parents == (0, None)
     grads = tp.backward(loss, store)
-    assert tp.grad(w.tensor()) is grads["w"]
     assert grads["w"].tolist() == [18.0, 64.0]
-    assert tp.grad(x).tolist() == [6.0, 32.0]
-    for interior in (h, loss):
-        with pytest.raises(T.TensorError, match="leaf gradients only"):
-            tp.grad(interior)
     # the parameter is keyed on the tape, never tagged with it
-    assert w.tensor().tape is None
+    assert w.tape is None
+
+
+def test_an_op_over_constants_only_records_nothing():
+    with T.Tape() as tp:
+        y = T.mlp([(T.const(np.eye(2)), T.const(np.zeros(2)))],
+                  T.const(np.ones((3, 2))))
+        z = T.reduce_sum(T.gather_rows(y, np.array([0, 2])))
+    assert tp.nodes == []
+    assert (y.tape, y.nid, z.tape, z.nid) == (None, None, None, None)
+
+
+def test_backward_from_a_root_no_parameter_reaches_raises():
+    p = T.Parameter("p", np.ones(2))
+    with T.Tape() as tp:
+        T.reduce_sum(T.mul(p, p))
+        loss = T.reduce_sum(T.mul(T.const(np.ones(2)), T.const(np.ones(2))))
+    assert loss.tape is None
+    with pytest.raises(T.TensorError, match="no parameter reaches it"):
+        tp.backward(loss)
 
 
 def test_eager_mode_without_tape():
@@ -337,7 +349,8 @@ def test_replay_bit_identical():
 
     def run():
         with T.Tape() as tp:
-            h = T.softmax_axis(T.matmul(T.const(x), T.const(w)), axis=1)
+            h = T.softmax_axis(T.matmul(T.const(x), T.Parameter("w", w)),
+                               axis=1)
             loss = T.reduce_sum(T.mul(h, h))
         g = tp.backward(loss)
         return loss.item(), h.data.tobytes()
