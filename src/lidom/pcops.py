@@ -5,8 +5,10 @@ subsampling) runs on plain arrays and is deliberately outside the autodiff
 graph; gradients flow through the gathered coordinates and features instead.
 Both sampling routines are exact and deterministic: FPS breaks max-distance
 ties toward the lowest index, KNN sorts by (distance, index).  KNN computes
-every squared distance but sorts only a partial selection: argpartition
-finds k candidates per query, and only rows tied at the k-th distance fall
+every squared distance but sorts only a selection: a value partition finds
+each query's k-th distance, and when no query of a chunk ties at it, the k
+entries within it are the answer and only they are sorted; a chunk with a
+tie takes argpartition's k candidates instead, and only its tied rows fall
 back to a full stable sort.  FPS computes each pick's distance row to the
 whole cloud anyway, so it returns the pick's k nearest points with it, by
 the same selection: set_conv takes that table and the pyramid runs no KNN
@@ -71,26 +73,40 @@ def _sq_dists(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(d2: np.ndarray, k: int, within: np.ndarray) -> np.ndarray:
+def _nearest(d2: np.ndarray, k: int, within: np.ndarray,
+             kth: np.ndarray) -> np.ndarray:
     """Column indices of each row's k smallest entries of d2, ordered by
-    (value, index); within is a bool work buffer of d2's shape.
+    (value, index); within (bool) and kth (float) are work buffers of d2's
+    shape.
 
-    argpartition picks k candidates per row, which are then ordered by
-    (value, index).  The candidates are the unique answer unless more than
-    k entries lie within the k-th value (a tie at the k-th place); those
-    rows alone take a full stable sort.
+    np.partition takes each row's k-th smallest value into kth, and the
+    entries d2 <= that value are kept.  If that is exactly k entries per
+    row, no row ties at its k-th value, so they are each row's unique
+    answer; they come in index order, so a stable sort by value orders them
+    by (value, index).  Otherwise the chunk takes the partial selection:
+    argpartition picks k candidates per row, which are ordered the same way,
+    and only the rows with more than k entries within their k-th value (a
+    tie at the k-th place) take a full stable sort.  Both give the same
+    selection and order.
     """
+    rows, n = d2.shape
+    np.copyto(kth, d2)
+    kth.partition(k - 1, axis=1)
+    np.less_equal(d2, kth[:, k - 1:k], out=within)
+    kept = np.flatnonzero(within)
+    if kept.size == rows * k:
+        cand = (kept % n).reshape(rows, k)
+        order = np.argsort(d2.reshape(-1)[kept].reshape(rows, k), axis=1,
+                           kind="stable")
+        return np.take_along_axis(cand, order, axis=1)
     cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
     cand.sort(axis=1)
     cand_d2 = np.take_along_axis(d2, cand, axis=1)
     # a stable sort of index-ordered candidates orders by (d2, index)
     order = np.argsort(cand_d2, axis=1, kind="stable")
     best = np.take_along_axis(cand, order, axis=1)
-    kth = cand_d2.max(axis=1, keepdims=True)
-    np.less_equal(d2, kth, out=within)
     tied = np.flatnonzero(np.count_nonzero(within, axis=1) > k)
-    if tied.size:
-        best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
     return best
 
 
@@ -119,7 +135,7 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
     _check_k(k, n)
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
     chunk = max(1, min(m, _KNN_CHUNK_ELEMS // n))
-    rows_buf = np.empty((chunk, n))
+    rows_buf, kth_buf = np.empty((chunk, n)), np.empty((chunk, n))
     within_buf = np.empty((chunk, n), dtype=bool)
     d2, tmp = np.empty(n), np.empty(n)
     sel = np.empty(m, dtype=np.int64)
@@ -139,7 +155,8 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
         if i % chunk == chunk - 1 or i == m - 1:
             lo = i - i % chunk
             nbr[lo:i + 1] = _nearest(rows_buf[:i + 1 - lo], k,
-                                     within_buf[:i + 1 - lo])
+                                     within_buf[:i + 1 - lo],
+                                     kth_buf[:i + 1 - lo])
     return sel, nbr
 
 
@@ -165,7 +182,9 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
         rows = q.shape[0]
         d2 = _sq_dists(q.T[:, :, None], ref_cols, d2_buf[:rows],
                        tmp_buf[:rows])
-        out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows])
+        # the distances are done with tmp_buf, so the selection reuses it
+        out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows],
+                                     tmp_buf[:rows])
     return out
 
 

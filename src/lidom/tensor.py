@@ -13,11 +13,17 @@ at a time: entering a tape while another records raises TensorError.
 
 A tape holds only what its backward reads (op closures keep arrays and
 shapes, never a Tensor; it keeps no gradient) and parameters never point
-at it, so reference counting frees it once its caller lets go.
+at it, so reference counting frees it once its caller lets go.  An op
+notes when it records which of its inputs a parameter reaches, and its
+backward computes (and its closure keeps what it needs for) only those
+inputs' gradients, giving None for a constant.
 mlp and attend are the two ops that recompute in backward: they keep their
 input parts only and rebuild the per-edge arrays from them (mlp its hidden
 layers, attend also both stacks' outputs and the softmax weights), which
-are the bulk of a training tape.
+are the bulk of a training tape.  Both run their layers over blocks of
+output rows sized to stay in cache, forward and recompute alike, after
+projecting each per-point part once; every op in a block is row-local, so
+the blocks give the bits of one pass over all rows.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
@@ -197,6 +203,24 @@ def _make(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     return out
 
 
+def _reached(t: Tensor) -> bool:
+    """Whether a parameter reaches t on the recording tape, so that an op's
+    backward needs t's gradient (Tape._nid's rule, making no leaf)."""
+    return _ACTIVE is not None and (isinstance(t, Parameter)
+                                    or t.tape is _ACTIVE)
+
+
+def _binary(kind: str, a: Tensor, b: Tensor, out: np.ndarray,
+            ga: Callable, gb: Callable) -> Tensor:
+    """Record a two-input op whose input gradients are ga(g) and gb(g); its
+    backward keeps and runs only those of inputs a parameter reaches, and
+    gives None for the other."""
+    ga = ga if _reached(a) else None
+    gb = gb if _reached(b) else None
+    return _make(kind, (a, b), out, lambda g: (
+        None if ga is None else ga(g), None if gb is None else gb(g)))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -238,35 +262,36 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    out = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
-    return _make("add", (a, b), out, lambda g: (
-        _unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return _binary("add", a, b, a.data + b.data,
+                   lambda g: _unbroadcast(g, sa),
+                   lambda g: _unbroadcast(g, sb))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    out = a.data - b.data
     sa, sb = a.data.shape, b.data.shape
-    return _make("sub", (a, b), out, lambda g: (
-        _unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    return _binary("sub", a, b, a.data - b.data,
+                   lambda g: _unbroadcast(g, sa),
+                   lambda g: _unbroadcast(-g, sb))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     ad, bd = a.data, b.data
-    out = ad * bd
-    return _make("mul", (a, b), out, lambda g: (
-        _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
+    sa, sb = ad.shape, bd.shape
+    return _binary("mul", a, b, ad * bd,
+                   lambda g: _unbroadcast(g * bd, sa),
+                   lambda g: _unbroadcast(g * ad, sb))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     ad, bd = a.data, b.data
-    out = ad / bd
-    return _make("div", (a, b), out, lambda g: (
-        _unbroadcast(g / bd, ad.shape),
-        _unbroadcast(-g * ad / (bd * bd), bd.shape)))
+    sa, sb = ad.shape, bd.shape
+    return _binary("div", a, b, ad / bd,
+                   lambda g: _unbroadcast(g / bd, sa),
+                   lambda g: _unbroadcast(-g * ad / (bd * bd), sb))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -295,12 +320,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != k:
         raise TensorError(
             f"matmul: inner dimensions differ, {ad.shape} vs {bd.shape}")
-    out = np.matmul(ad, bd)
+    return _binary("matmul", a, b, np.matmul(ad, bd),
+                   lambda g: np.matmul(g, bd.T),
+                   lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n))
 
-    def back(g):
-        return (np.matmul(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, n))
 
-    return _make("matmul", (a, b), out, back)
+# Output rows per block of an mlp or attend stack: rows times the elements
+# per row of the stack's widest layer output is at most this, so that one
+# per-edge (rows, k, c) float64 array is about 512 KiB and a block's layers
+# stay in a core's cache.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _project(pd: np.ndarray, wj: np.ndarray, out=None) -> np.ndarray:
+    """pd @ wj, into out if given.  A width-1 part's product is an outer
+    product: the broadcast multiply gives matmul's bits at a fraction of its
+    cost."""
+    if wj.shape[0] == 1:
+        return np.multiply(pd, wj, out=out)
+    return np.matmul(pd, wj, out=out)
 
 
 def _layer_plan(wd: np.ndarray, bd: np.ndarray,
@@ -331,24 +369,26 @@ def _layer_plan(wd: np.ndarray, bd: np.ndarray,
     return np.cumsum([0] + widths), gathered, shapes, shape, bias_at, nbr
 
 
-def _layer_forward(wd: np.ndarray, bd: np.ndarray, datas: list[np.ndarray],
-                   plan: tuple, relu: bool) -> np.ndarray:
-    """relu?(concat(datas) @ wd + bd) without the concat, into a fresh
-    array; see mlp."""
-    bounds, gathered, _, shape, bias_at, nbr = plan
-    out = None
-    for j, pd in enumerate(datas):
-        wj = wd[bounds[j]:bounds[j + 1]]
-        # a width-1 part's product is an outer product: the broadcast
-        # multiply gives matmul's bits at a fraction of its cost
-        proj = pd * wj if wj.shape[0] == 1 else np.matmul(pd, wj)
-        if j == bias_at:
-            proj += bd
+def _layer_forward(wd: np.ndarray, bd: np.ndarray, srcs: list[np.ndarray],
+                   plan: tuple, relu: bool, idx, out: np.ndarray
+                   ) -> np.ndarray:
+    """relu?(concat(parts) @ wd + bd) over one block of output rows, without
+    the concat, into out; see mlp.  srcs are the block's rows of the parts,
+    but a gathered part is its whole per-point projection (_sources), which
+    idx, the block's rows of the table, picks from."""
+    bounds, gathered, shapes, shape, bias_at, _ = plan
+    for j, src in enumerate(srcs):
         if gathered[j]:
-            proj = np.take(proj, nbr, axis=0)
-        if out is None:
-            out = proj if proj.shape == shape else \
-                np.broadcast_to(proj, shape).copy()
+            proj = np.take(src, idx, axis=0)
+        else:
+            whole = j == 0 and shapes[j] == shape
+            proj = _project(src, wd[bounds[j]:bounds[j + 1]],
+                            out if whole else None)
+            if j == bias_at:
+                proj += bd
+        if j == 0:
+            if proj is not out:
+                out[...] = proj
         else:
             out += proj
     if bias_at is None:
@@ -359,9 +399,12 @@ def _layer_forward(wd: np.ndarray, bd: np.ndarray, datas: list[np.ndarray],
 
 
 def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
-                    plan: tuple) -> tuple:
+                    plan: tuple, need: Sequence[bool], out=None) -> tuple:
     """(weight grad, bias grad, part grads) of one layer, from the gradient
-    g of its output with any relu mask already applied."""
+    g of its output with any relu mask already applied.  A part's gradient
+    is None unless need says a parameter reaches it.  out, if given, takes
+    the first part's gradient once that part's data is read, so it may be
+    that part's own buffer."""
     bounds, gathered, shapes, _, bias_at, nbr = plan
     c = wd.shape[1]
     gw = np.empty(wd.shape)
@@ -374,8 +417,9 @@ def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
             gj = _scatter_rows(nbr, gj, pd.shape[0])
         if j == bias_at:
             gb = _unbroadcast(gj, (c,))
-        gparts.append(np.matmul(gj, wd[lo:hi].T))
         gw[lo:hi] = pd.reshape(-1, hi - lo).T @ gj.reshape(-1, c)
+        gparts.append(np.matmul(gj, wd[lo:hi].T, out=out if j == 0 else None)
+                      if need[j] else None)
     return gw, gb, gparts
 
 
@@ -393,40 +437,100 @@ def _stack(op: str, layers, shapes: list, nbr) -> tuple[list, list, list]:
     return ws, bs, plans
 
 
+def _blocks(*stacks) -> list[slice]:
+    """The stacks' common output rows in blocks of at most _BLOCK_ELEMS
+    elements of their widest layer output, the last block ragged."""
+    plans = [plan for stack in stacks for plan in stack[2]]
+    n = plans[0][3][0]
+    step = max(1, _BLOCK_ELEMS // max(math.prod(p[3][1:]) for p in plans))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _sources(stack: tuple, datas: list) -> list:
+    """The first layer's parts as _layer_forward reads them: a gathered part
+    projected once per reference point, with the bias if the plan adds it
+    there, every other part as it is."""
+    ws, bs, plans = stack
+    bounds, gathered, _, _, bias_at, _ = plans[0]
+    srcs = list(datas)
+    for j, gat in enumerate(gathered):
+        if gat:
+            srcs[j] = _project(datas[j], ws[0][bounds[j]:bounds[j + 1]])
+            if j == bias_at:
+                srcs[j] += bs[0]
+    return srcs
+
+
+def _forward(stack: tuple, srcs: list, rows: slice, relu_last: bool,
+             outs: list) -> np.ndarray:
+    """Run the stack's first len(outs) layers over the output rows `rows`:
+    the first reads their rows of srcs (_sources), each later one the output
+    before it, and layer i writes into outs[i], or a fresh block array if
+    that is None.  Returns the last output."""
+    ws, bs, plans = stack
+    gathered, nbr = plans[0][1], plans[0][5]
+    # a part of one row broadcasts over every block
+    x = [s if gat or s.shape[0] == 1 else s[rows]
+         for s, gat in zip(srcs, gathered)]
+    idx = None if nbr is None else nbr[rows]
+    for i, out in enumerate(outs):
+        if out is None:
+            out = np.empty((rows.stop - rows.start,) + plans[i][3][1:])
+        relu = i < len(ws) - 1 or relu_last
+        x = [_layer_forward(ws[i], bs[i], x, plans[i], relu, idx, out)]
+    return x[0]
+
+
+def _fill(stack: tuple, datas: list, outs: list,
+          relu_last: bool = True) -> list:
+    """Run the stack's first len(outs) layers over every row, block by
+    block, each into its full-size array in outs (None: kept per block
+    only); returns outs."""
+    if outs:
+        srcs = _sources(stack, datas)
+        for rows in _blocks(stack):
+            _forward(stack, srcs, rows, relu_last,
+                     [None if o is None else o[rows] for o in outs])
+    return outs
+
+
 def _hidden(stack: tuple, datas: list) -> list[list]:
     """Every layer's inputs: the parts, then each hidden layer's output
     (relu on), from which the last layer runs."""
-    ws, bs, plans = stack
-    ins = [datas]
-    for i in range(len(ws) - 1):
-        ins.append([_layer_forward(ws[i], bs[i], ins[i], plans[i], True)])
-    return ins
+    hidden = _fill(stack, datas, [np.empty(p[3]) for p in stack[2][:-1]])
+    return [datas, *([h] for h in hidden)]
 
 
 def _run(stack: tuple, datas: list, relu_last: bool
          ) -> tuple[list, np.ndarray]:
     """(every layer's inputs, the last layer's output) of a stack."""
-    ws, bs, plans = stack
-    ins = _hidden(stack, datas)
-    return ins, _layer_forward(ws[-1], bs[-1], ins[-1], plans[-1], relu_last)
+    *hidden, out = _fill(stack, datas, [np.empty(p[3]) for p in stack[2]],
+                         relu_last)
+    return [datas, *([h] for h in hidden)], out
 
 
-def _stack_backward(g: np.ndarray, stack: tuple, ins: list
-                    ) -> tuple[list, list]:
+def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
+                    need: Sequence[bool]) -> tuple[list, list]:
     """Backpropagate through a stack from the gradient g of its output, the
     last layer's relu mask (if any) already applied; ins is _hidden's list,
-    dropped as it is spent.  Returns ([w0, b0, w1, b1, ...] grads, part
-    grads)."""
+    dropped as it is spent, and need says which of the stack's inputs (w0,
+    b0, w1, b1, ..., then the parts) a parameter reaches.  Returns ([w0, b0,
+    w1, b1, ...] grads, part grads), None where need is False."""
     ws, _, plans = stack
-    grads = [None] * (2 * len(ws))
-    for i in range(len(ws) - 1, -1, -1):
-        gw, gb, gparts = _layer_backward(g, ws[i], ins[i], plans[i])
-        grads[2 * i:2 * i + 2] = gw, gb
-        if i:
-            g = gparts[0]          # owned here, so masked in place
-            g *= ins[i][0] > 0.0
-            ins[i] = None
-    return grads, gparts
+    depth = len(ws)
+    grads = [None] * (2 * depth)
+    for i in range(depth - 1, 0, -1):
+        # a hidden layer's relu mask, taken before its own (recomputed)
+        # buffer takes its gradient
+        h = ins[i][0]
+        live = h > 0.0
+        grads[2 * i], grads[2 * i + 1], (g,) = _layer_backward(
+            g, ws[i], ins[i], plans[i], (True,), out=h)
+        g *= live
+        ins[i] = None
+    grads[0], grads[1], gparts = _layer_backward(g, ws[0], ins[0], plans[0],
+                                                 need[2 * depth:])
+    return [gr if n else None for gr, n in zip(grads, need)], gparts
 
 
 def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
@@ -442,37 +546,44 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     row, (n, width).  With the (n, k) table nbr the rows are edges: a rank-3
     part is per edge (n, k, width) or per centre (n, 1, width) and
     broadcasts over the neighbourhood; a rank-2 part is per reference point
-    (n_ref, width), projected once per point and then gathered by nbr.  The
-    bias is added once, to the first rank-2 part's projection (per point,
-    before any gather) if there is one, else to the sum.  The parts
-    accumulate in place into the first projection and the relu,
-    max(x, 0.0), runs in place, so a layer allocates its output and nothing
-    else per edge.  Each layer equals the layer on the concat up to
-    summation order.
+    (n_ref, width), projected once per point, before any block, and then
+    gathered by nbr.  The bias is added once, to the first rank-2 part's
+    projection (per point, before any gather) if there is one, else to the
+    sum.  Each layer equals the layer on the concat up to summation order.
+
+    The stack runs in blocks of output rows (centres), each sized so that
+    one per-edge array of it is about 512 KiB (_BLOCK_ELEMS): a block runs
+    every layer while its arrays stay in cache, and writes its rows of the
+    output.  Within a block the parts accumulate in place into the first
+    projection and the relu, max(x, 0.0), runs in place.  Every op in a
+    block is row-local, so the blocks give the bits of one pass over all
+    rows.
 
     A taped mlp keeps only its parts' arrays and, with relu_last, one bool
     mask of its output.  Its backward recomputes the hidden layers from the
-    parts by the same code, so they carry the bits the forward computed and
-    then dropped (the per-edge hidden outputs are the bulk of a training
-    tape and cost one forward to rebuild), and then backpropagates layer by
-    layer.
+    parts by the same block code into full-size arrays, so they carry the
+    bits the forward computed and then dropped (the per-edge hidden outputs
+    are the bulk of a training tape and cost one forward to rebuild), and
+    then backpropagates layer by layer.  It computes the gradients of the
+    inputs a parameter reaches only.
     """
     if nbr is not None:
         nbr = np.asarray(nbr, dtype=np.int64)
     datas = [p.data for p in parts]
     stack = _stack("mlp", layers, [d.shape for d in datas], nbr)
-    out = _run(stack, datas, relu_last)[1]
+    outs = [None] * (len(layers) - 1) + [np.empty(stack[2][-1][3])]
+    out = _fill(stack, datas, outs, relu_last)[-1]
     if _ACTIVE is None:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None
+    inputs = (*(t for layer in layers for t in layer), *parts)
+    need = tuple(_reached(t) for t in inputs)
 
     def back(g):
-        if mask is not None:
-            g = g * mask
-        grads, gparts = _stack_backward(g, stack, _hidden(stack, datas))
+        grads, gparts = _stack_backward(g if mask is None else g * mask,
+                                        stack, _hidden(stack, datas), need)
         return (*grads, *gparts)
 
-    inputs = tuple(t for layer in layers for t in layer) + tuple(parts)
     return _make("mlp", inputs, out, back)
 
 
@@ -486,16 +597,19 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
     and both give (n, k, c).
 
     Equals that chain of ops (mlp, mlp, softmax_axis, mul, reduce_sum) bit
-    for bit.  The softmax runs in place on u's output, and the weighted
-    values accumulate in place into v's, so no per-edge product is
-    allocated.
+    for bit.  Both stacks run in the same blocks of rows as mlp's, and each
+    block reduces straight to its rows of the output: the softmax runs in
+    place on u's block and the weighted values accumulate in place into
+    v's, so no per-edge array is bigger than a block.
 
     A taped attend keeps only its parts' arrays.  Its backward recomputes
-    each stack's hidden layers once, the outputs and the softmax from them,
-    replays the chain's sum, mul and softmax backward arithmetic, and then
-    backpropagates through u's layers and then v's.  The parts are listed
-    twice among the node's parents, u's copy first, and get u's and v's
-    gradients separately, so the tape adds them in the chain's order.
+    each stack's hidden layers and output into full-size arrays, and the
+    softmax from them; replays the chain's sum, mul and softmax backward
+    arithmetic in the buffers of the values and of one temporary; and then
+    backpropagates through u's layers and then v's, holding neither stack's
+    incoming gradient itself.  The parts are listed twice among the node's
+    parents, u's copy first, and get u's and v's gradients separately (if a
+    parameter reaches them), so the tape adds them in the chain's order.
     """
     nbr = np.asarray(nbr, dtype=np.int64)
     if nbr.ndim != 2:
@@ -513,33 +627,41 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
         raise TensorError(f"attend: logits of shape {u[2][-1][3]} and "
                           f"values of shape {out_shape} differ")
 
-    def weights():
-        """(u's layer inputs, the softmax weights)."""
-        ins, logits = _run(u, datas, False)
-        return ins, _softmax(logits, 1, out=logits)
-
-    val = _run(v, datas, True)[1]
-    val *= weights()[1]
-    out = val.sum(axis=1)
+    out = np.empty((nbr.shape[0], out_shape[-1]))
+    vsrc, usrc = _sources(v, datas), _sources(u, datas)
+    for rows in _blocks(v, u):
+        val = _forward(v, vsrc, rows, True, [None] * len(v_layers))
+        logits = _forward(u, usrc, rows, False, [None] * len(u_layers))
+        val *= _softmax(logits, 1, out=logits)
+        val.sum(axis=1, out=out[rows])
     if _ACTIVE is None:
         return Tensor(out)
+    inputs = (*(t for layer in u_layers for t in layer), *parts,
+              *(t for layer in v_layers for t in layer), *parts)
+    need = tuple(_reached(t) for t in inputs)
+    un = 2 * len(u_layers) + len(parts)
 
     def back(g):
         vins, val = _run(v, datas, True)
-        uins, w = weights()
+        uins, w = _run(u, datas, False)
+        _softmax(w, 1, out=w)
         ge = np.expand_dims(g, 1)
-        gval = np.broadcast_to(ge, val.shape) * w
-        gval *= val > 0.0
+        live = val > 0.0
         # the weights' gradient, then the logits', in val's buffer
         glogits = np.multiply(ge, val, out=val)
-        glogits -= (glogits * w).sum(axis=1, keepdims=True)
+        gval = glogits * w
+        glogits -= gval.sum(axis=1, keepdims=True)
         glogits *= w
-        ugrads, ugparts = _stack_backward(glogits, u, uins)
-        vgrads, vgparts = _stack_backward(gval, v, vins)
+        # the values' gradient, in that temporary's buffer
+        gval = np.multiply(ge, w, out=gval)
+        gval *= live
+        # each stack's backward drops its incoming gradient as it goes
+        gin = [gval, glogits]
+        del val, w, live, gval, glogits
+        ugrads, ugparts = _stack_backward(gin.pop(), u, uins, need[:un])
+        vgrads, vgparts = _stack_backward(gin.pop(), v, vins, need[un:])
         return (*ugrads, *ugparts, *vgrads, *vgparts)
 
-    inputs = (*(t for layer in u_layers for t in layer), *parts,
-              *(t for layer in v_layers for t in layer), *parts)
     return _make("attend", inputs, out, back)
 
 
@@ -580,8 +702,11 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     out = a.data.max(axis=axis)
     if _ACTIVE is None:
         return Tensor(out)
-    arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # first index on ties
     shape = a.data.shape
+    # first index on ties, in the narrowest type that holds it (uint8 for a
+    # neighbourhood of up to 256)
+    arg = np.expand_dims(a.data.argmax(axis=axis), axis).astype(
+        np.min_scalar_type(shape[axis] - 1))
 
     def back(g):
         ga = np.zeros(shape)

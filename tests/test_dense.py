@@ -33,6 +33,7 @@ LAYOUTS = {
     "set_upconv": ([EDGE, POINT], NBR),
     "edge_only": ([EDGE], NBR),
     "centre_first": ([CENTRE, EDGE], NBR),
+    "point_first": ([POINT, EDGE, CENTRE], NBR),
     "rows": ([(N, 2), (N, 4), (N, 1)], None),
     "one_row_part": ([(N, 5)], None),
     "per_edge_hidden": ([(N, K, 5)], None),
@@ -407,3 +408,109 @@ def test_attend_has_no_uniform_mode():
     with pytest.raises(T.TensorError, match="at least one layer"):
         T.attend(None, [(T.const(w), T.const(b)) for w, b in v],
                  *[T.const(a) for a in parts], nbr=nbr)
+
+
+# --- row blocks: mlp and attend run over blocks of output rows ---
+
+ONE_BLOCK = 1 << 62    # a _BLOCK_ELEMS that fits any test stack in one block
+
+
+def _ragged_blocks(monkeypatch, layout, widths):
+    """Make mlp and attend run a layout's N = 6 rows in blocks of 4 and 2:
+    _BLOCK_ELEMS is 4 rows of the widest layer output.  Returns the list
+    that records the rows of every block the stacks run."""
+    shapes, nbr = LAYOUTS[layout]
+    per_edge = nbr is not None or len(shapes[0]) == 3
+    monkeypatch.setattr(T, "_BLOCK_ELEMS",
+                        4 * (K if per_edge else 1) * max(widths))
+    sizes, forward = [], T._forward
+
+    def spy(stack, srcs, rows, relu_last, outs):
+        sizes.append(rows.stop - rows.start)
+        return forward(stack, srcs, rows, relu_last, outs)
+
+    monkeypatch.setattr(T, "_forward", spy)
+    return sizes
+
+
+def _mlp_bits(layers, parts, nbr, relu_last):
+    """Eager output, taped output, loss and every weight, bias and part
+    gradient of one mlp, as bytes."""
+    out, loss, grads = _run_stack(T.mlp, layers, parts, nbr, relu_last)
+    eager = T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+                  *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+    return [eager.data.tobytes(), out.tobytes(), loss,
+            *[g.tobytes() for g in grads]]
+
+
+def _attend_bits(u, v, parts, nbr):
+    """Eager output, taped output, loss and every u, v and part gradient of
+    one attend, as bytes."""
+    out, loss, grads = _run_attend(T.attend, u, v, parts, nbr)
+    eager = T.attend([(T.const(w), T.const(b)) for w, b in u],
+                     [(T.const(w), T.const(b)) for w, b in v],
+                     *[T.const(a) for a in parts], nbr=nbr)
+    return [eager.data.tobytes(), out.tobytes(), loss,
+            *[g.tobytes() for g in grads]]
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("layout", ["set_conv", "cost_volume", "centre_first",
+                                    "point_first", "rows", "per_edge_hidden"])
+def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
+        monkeypatch, layout, depth, relu_last):
+    # per-edge, per-centre, gathered and width-1 parts with the table, and
+    # per-row (with a width-1 part) and per-edge parts without it
+    layers, parts, nbr = _stack_inputs(layout, depth, seed=4)
+    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    want = _mlp_bits(layers, parts, nbr, relu_last)
+    sizes = _ragged_blocks(monkeypatch, layout, [w.shape[1] for w, _ in layers])
+    assert _mlp_bits(layers, parts, nbr, relu_last) == want
+    # eager and taped forwards, and the backward's recompute of the hidden
+    # layers, each in a block of 4 rows and a ragged one of 2
+    assert sizes == [4, 2] * (2 + (depth > 1))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("layout", ATTEND_LAYOUTS)
+def test_attend_in_row_blocks_is_bit_identical_to_one_block(
+        monkeypatch, layout, depth):
+    u, v, parts, nbr = _attend_inputs(layout, depth, seed=5)
+    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    want = _attend_bits(u, v, parts, nbr)
+    sizes = _ragged_blocks(monkeypatch, layout,
+                           [w.shape[1] for w, _ in u + v])
+    assert _attend_bits(u, v, parts, nbr) == want
+    # the taped forward runs v and u per block, its backward recomputes v
+    # and then u, and the eager forward runs as the taped one
+    assert sizes == [4, 4, 2, 2] + [4, 2] * 2 + [4, 4, 2, 2]
+
+
+def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
+        monkeypatch):
+    # full_config's shapes: the finest refinement's cost-volume stage (2048
+    # centres, 16 neighbours, 32 channels) and pyramid level 2's set_conv
+    # (1024 centres of 2048 points, 64 channels), in _BLOCK_ELEMS's blocks
+    rng = np.random.default_rng(6)
+
+    def stack(widths):
+        return [(rng.normal(size=(a, c)) / np.sqrt(a), rng.normal(size=c))
+                for a, c in zip(widths, widths[1:])]
+
+    nbr = rng.integers(0, 2048, size=(2048, 16))
+    cv_parts = [rng.normal(size=s) for s in
+                [(2048, 16, 3), (2048, 16, 1), (2048, 1, 32), (2048, 32)]]
+    u, v = stack([68, 32, 32]), stack([68, 32, 32])
+    sc_nbr = rng.integers(0, 2048, size=(1024, 16))
+    sc_parts = [rng.normal(size=s) for s in
+                [(1024, 16, 3), (2048, 32), (1024, 1, 32)]]
+    sc = stack([67, 64, 64])
+    assert len(T._blocks(T._stack("attend", [(T.const(w), T.const(b))
+                                             for w, b in v],
+                                  [p.shape for p in cv_parts], nbr))) == 16
+    blocked = (_attend_bits(u, v, cv_parts, nbr),
+               _mlp_bits(sc, sc_parts, sc_nbr, True))
+    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    assert blocked == (_attend_bits(u, v, cv_parts, nbr),
+                       _mlp_bits(sc, sc_parts, sc_nbr, True))

@@ -281,6 +281,50 @@ def test_a_dropped_tape_is_freed_without_the_cycle_collector():
         assert g.tobytes() == first[name].tobytes(), name
 
 
+def _spare_gradients(tape):
+    """Wrap every node's backward_fn so that it collects (kind, array) for
+    each array it returns for a constant (None) parent; returns that
+    list."""
+    spare = []
+
+    def wrap(node, fn):
+        def run(g):
+            pgs = fn(g)
+            spare.extend((node.kind, pg) for pid, pg in zip(node.parents, pgs)
+                         if pid is None and pg is not None)
+            return pgs
+        return run
+
+    for node in tape.nodes:
+        if node.backward_fn is not None:
+            node.backward_fn = wrap(node, node.backward_fn)
+    return spare
+
+
+def test_backward_computes_no_gradient_for_a_constant_input(monkeypatch):
+    net = OdometryNet(desk_config())
+    pc1, pc2 = _scans()
+
+    def step():
+        with T.Tape() as tape:
+            loss = _pose_loss(net.forward(pc1, pc2))
+        spare = _spare_gradients(tape)
+        return tape.backward(loss, net.store), spare
+
+    grads, spare = step()
+    assert spare == []
+    # as if a parameter reached every input: each op also differentiates its
+    # constant inputs (edge offsets, cloud coordinates, constant maps), the
+    # tape drops those arrays, and the parameters' gradients keep their bits
+    monkeypatch.setattr(T, "_reached", lambda t: T._ACTIVE is not None)
+    every, spare = step()
+    assert {"mlp", "attend", "sub", "matmul"} <= {
+        kind for kind, _ in spare}
+    assert grads.keys() == every.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == every[name].tobytes(), name
+
+
 def test_whole_network_gradient_matches_central_differences():
     """Central differences of the four-level pose loss against backward()
     on 24 parameter entries sampled with a fixed rng.

@@ -104,6 +104,47 @@ def test_knn_rejects_bad_k():
         P.knn_indices(np.zeros((2, 3)), np.zeros((4, 3)), 0)
 
 
+def _select(d2, k):
+    """P._nearest on one chunk of distance rows, with fresh work buffers."""
+    return P._nearest(d2, k, np.empty(d2.shape, dtype=bool),
+                      np.empty(d2.shape))
+
+
+def _stable_argsort(d2, k):
+    """The (value, index) order, from a full stable sort of every row."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+# Rows on an integer grid of 3, 9 or 1001 values: ties at the k-th value in
+# no row, in some rows or in all of them.
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from([2, 8, 1000]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_selection_matches_a_full_stable_sort(rows, n, top, data):
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=top),
+                                min_size=rows * n, max_size=rows * n))
+    d2 = np.array(values, dtype=np.float64).reshape(rows, n)
+    assert np.array_equal(_select(d2, k), _stable_argsort(d2, k))
+
+
+@pytest.mark.parametrize("tied", [[], [1], [0, 1, 2]],
+                         ids=["no-row", "one-row", "every-row"])
+def test_selection_with_rows_tied_at_the_kth_value(tied):
+    # distinct values per row; a tied row's largest value moves down onto
+    # its 3rd smallest, so 4 entries lie within its k-th value
+    d2 = np.array([[5.0, 1.0, 4.0, 2.0, 3.0, 9.0],
+                   [7.0, 3.0, 1.0, 8.0, 2.0, 6.0],
+                   [0.0, 6.0, 2.0, 9.0, 1.0, 4.0]])
+    k = 3
+    for r in tied:
+        d2[r, np.argmax(d2[r])] = np.sort(d2[r])[k - 1]
+    within = (d2 <= np.sort(d2, axis=1)[:, k - 1:k]).sum(axis=1)
+    assert np.flatnonzero(within > k).tolist() == tied
+    assert np.array_equal(_select(d2, k), _stable_argsort(d2, k))
+
+
 # Integer-grid clouds are full of exact duplicates, so distance ties (at the
 # k-th place too) are the rule rather than the exception.  A KNN chunk holds
 # 65536 // n queries; the pinned examples cross chunk boundaries with k == n
