@@ -6,13 +6,11 @@ graph; gradients flow through the gathered coordinates and features instead.
 Both sampling routines are exact and deterministic: FPS breaks max-distance
 ties toward the lowest index, KNN sorts by (distance, index).  KNN computes
 every squared distance but sorts only a selection: a value partition finds
-each query's k-th distance, and when no query of a chunk ties at it, the k
-entries within it are the answer and only they are sorted; a chunk with a
-tie takes argpartition's k candidates instead, and only its tied rows fall
-back to a full stable sort.  FPS computes each pick's distance row to the
-whole cloud anyway, so it returns the pick's k nearest points with it, by
-the same selection: set_conv takes that table and the pyramid runs no KNN
-of its own.  Both reject clouds that are not (n, 3) or not finite, and FPS
+each query's k-th distance, and only the entries within it are sorted (the
+k that are the answer, more when the query ties at its k-th distance).
+FPS computes each pick's distance row to the whole cloud anyway, so it
+returns the pick's k nearest points with it, by the same selection:
+set_conv takes that table and the pyramid runs no KNN of its own.  Both reject clouds that are not (n, 3) or not finite, and FPS
 rejects a cloud with fewer distinct points than it must pick.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
@@ -80,34 +78,26 @@ def _nearest(d2: np.ndarray, k: int, within: np.ndarray,
     shape.
 
     np.partition takes each row's k-th smallest value into kth, and the
-    entries d2 <= that value are kept.  If that is exactly k entries per
-    row, no row ties at its k-th value, so they are each row's unique
-    answer; they come in index order, so a stable sort by value orders them
-    by (value, index).  Otherwise the chunk takes the partial selection:
-    argpartition picks k candidates per row, which are ordered the same way,
-    and only the rows with more than k entries within their k-th value (a
-    tie at the k-th place) take a full stable sort.  Both give the same
-    selection and order.
+    entries d2 <= that value are each row's candidates: exactly k unless
+    the row ties at its k-th value.  They come in index order, and each
+    row's go into one row of a table padded with inf to the longest row's
+    count, so a stable sort of that table by value orders every row's
+    candidates by (value, index) with the padding last, and its first k
+    are the answer.  Ties need no other path: only a tied row has more
+    than k candidates.
     """
     rows, n = d2.shape
     np.copyto(kth, d2)
     kth.partition(k - 1, axis=1)
     np.less_equal(d2, kth[:, k - 1:k], out=within)
     kept = np.flatnonzero(within)
-    if kept.size == rows * k:
-        cand = (kept % n).reshape(rows, k)
-        order = np.argsort(d2.reshape(-1)[kept].reshape(rows, k), axis=1,
-                           kind="stable")
-        return np.take_along_axis(cand, order, axis=1)
-    cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    cand.sort(axis=1)
-    cand_d2 = np.take_along_axis(d2, cand, axis=1)
-    # a stable sort of index-ordered candidates orders by (d2, index)
-    order = np.argsort(cand_d2, axis=1, kind="stable")
-    best = np.take_along_axis(cand, order, axis=1)
-    tied = np.flatnonzero(np.count_nonzero(within, axis=1) > k)
-    best[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return best
+    row = kept // n
+    counts = np.bincount(row, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    cand = np.full((rows, counts.max()), np.inf)
+    cand[row, np.arange(kept.size) - starts[row]] = d2.reshape(-1)[kept]
+    order = np.argsort(cand, axis=1, kind="stable")[:, :k]
+    return kept[starts[:, None] + order] % n
 
 
 def _check_k(k: int, n: int) -> None:
@@ -165,7 +155,7 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     by (squared distance, index).
 
     Per chunk of queries, the squared distances to every reference point go
-    through the partial selection of _nearest.
+    through the value-partition selection of _nearest.
     """
     query = _points(query, "query")
     ref = _points(ref, "ref")

@@ -20,10 +20,12 @@ inputs' gradients, giving None for a constant.
 mlp and attend are the two ops that recompute in backward: they keep their
 input parts only and rebuild the per-edge arrays from them (mlp its hidden
 layers, attend also both stacks' outputs and the softmax weights), which
-are the bulk of a training tape.  Both run their layers over blocks of
+are the bulk of a training tape.  Both run per-edge layers over blocks of
 output rows sized to stay in cache, forward and recompute alike, after
-projecting each per-point part once; every op in a block is row-local, so
-the blocks give the bits of one pass over all rows.
+projecting each per-point part once; every op in such a block is
+row-local (a matmul per row), so the blocks give the bits of one pass over
+all rows.  A per-row stack's layer is one 2-D matmul, whose BLAS
+summation order depends on the row count, so it runs in one pass.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
@@ -122,11 +124,18 @@ class Tape:
         global _ACTIVE
         _ACTIVE = None
 
+    def _reaches(self, t: Tensor) -> bool:
+        """Whether a parameter reaches t: t is a Parameter or an output this
+        tape recorded.  Any other input is a constant."""
+        return isinstance(t, Parameter) or t.tape is self
+
     def _nid(self, t: Tensor) -> int | None:
         """t's node on this tape, a parameter's made on first sight; None
         for a constant."""
-        if not isinstance(t, Parameter):
-            return t.nid if t.tape is self else None
+        if not self._reaches(t):
+            return None
+        if t.tape is self:
+            return t.nid
         leaf = self._param_leaves.get(t.name)
         if leaf is None:
             leaf = self._param_leaves[t.name] = (t, len(self.nodes))
@@ -205,9 +214,8 @@ def _make(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 def _reached(t: Tensor) -> bool:
     """Whether a parameter reaches t on the recording tape, so that an op's
-    backward needs t's gradient (Tape._nid's rule, making no leaf)."""
-    return _ACTIVE is not None and (isinstance(t, Parameter)
-                                    or t.tape is _ACTIVE)
+    backward needs t's gradient."""
+    return _ACTIVE is not None and _ACTIVE._reaches(t)
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, out: np.ndarray,
@@ -439,9 +447,17 @@ def _stack(op: str, layers, shapes: list, nbr) -> tuple[list, list, list]:
 
 def _blocks(*stacks) -> list[slice]:
     """The stacks' common output rows in blocks of at most _BLOCK_ELEMS
-    elements of their widest layer output, the last block ragged."""
+    elements of their widest layer output, the last block ragged.
+
+    A per-row stack, of (n, c) outputs, is one block: each of its layers is
+    one 2-D matmul over the block's rows, and BLAS picks its kernel, and
+    with it the summation order, by the row count (one row is a
+    matrix-vector product).  A per-edge layer is a matmul per row of the
+    block, which no block size changes."""
     plans = [plan for stack in stacks for plan in stack[2]]
     n = plans[0][3][0]
+    if len(plans[0][3]) == 2:
+        return [slice(0, n)]
     step = max(1, _BLOCK_ELEMS // max(math.prod(p[3][1:]) for p in plans))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
@@ -551,13 +567,14 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     projection (per point, before any gather) if there is one, else to the
     sum.  Each layer equals the layer on the concat up to summation order.
 
-    The stack runs in blocks of output rows (centres), each sized so that
-    one per-edge array of it is about 512 KiB (_BLOCK_ELEMS): a block runs
-    every layer while its arrays stay in cache, and writes its rows of the
-    output.  Within a block the parts accumulate in place into the first
-    projection and the relu, max(x, 0.0), runs in place.  Every op in a
-    block is row-local, so the blocks give the bits of one pass over all
-    rows.
+    A per-edge stack runs in blocks of output rows (centres), each sized so
+    that one per-edge array of it is about 512 KiB (_BLOCK_ELEMS): a block
+    runs every layer while its arrays stay in cache, and writes its rows of
+    the output.  Every op in such a block is row-local (a matmul per
+    centre), so the blocks give the bits of one pass over all rows.  A
+    per-row stack runs as one block (see _blocks).  Within a block the
+    parts accumulate in place into the first projection and the relu,
+    max(x, 0.0), runs in place.
 
     A taped mlp keeps only its parts' arrays and, with relu_last, one bool
     mask of its output.  Its backward recomputes the hidden layers from the

@@ -415,14 +415,15 @@ def test_attend_has_no_uniform_mode():
 ONE_BLOCK = 1 << 62    # a _BLOCK_ELEMS that fits any test stack in one block
 
 
-def _ragged_blocks(monkeypatch, layout, widths):
-    """Make mlp and attend run a layout's N = 6 rows in blocks of 4 and 2:
-    _BLOCK_ELEMS is 4 rows of the widest layer output.  Returns the list
-    that records the rows of every block the stacks run."""
+def _ragged_blocks(monkeypatch, layout, widths, step):
+    """Make mlp and attend run a layout's N = 6 rows in blocks of step rows
+    and a ragged last one: _BLOCK_ELEMS is step rows of the widest layer
+    output.  Returns the list that records the rows of every block the
+    stacks run."""
     shapes, nbr = LAYOUTS[layout]
     per_edge = nbr is not None or len(shapes[0]) == 3
     monkeypatch.setattr(T, "_BLOCK_ELEMS",
-                        4 * (K if per_edge else 1) * max(widths))
+                        step * (K if per_edge else 1) * max(widths))
     sizes, forward = [], T._forward
 
     def spy(stack, srcs, rows, relu_last, outs):
@@ -454,37 +455,44 @@ def _attend_bits(u, v, parts, nbr):
             *[g.tobytes() for g in grads]]
 
 
+@pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
 @pytest.mark.parametrize("relu_last", [True, False])
 @pytest.mark.parametrize("depth", [1, 3])
 @pytest.mark.parametrize("layout", ["set_conv", "cost_volume", "centre_first",
                                     "point_first", "rows", "per_edge_hidden"])
 def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
-        monkeypatch, layout, depth, relu_last):
+        monkeypatch, layout, depth, relu_last, step):
     # per-edge, per-centre, gathered and width-1 parts with the table, and
     # per-row (with a width-1 part) and per-edge parts without it
     layers, parts, nbr = _stack_inputs(layout, depth, seed=4)
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
     want = _mlp_bits(layers, parts, nbr, relu_last)
-    sizes = _ragged_blocks(monkeypatch, layout, [w.shape[1] for w, _ in layers])
+    sizes = _ragged_blocks(monkeypatch, layout,
+                           [w.shape[1] for w, _ in layers], step)
     assert _mlp_bits(layers, parts, nbr, relu_last) == want
     # eager and taped forwards, and the backward's recompute of the hidden
-    # layers, each in a block of 4 rows and a ragged one of 2
-    assert sizes == [4, 2] * (2 + (depth > 1))
+    # layers, each in a block of step rows and a ragged one; a per-row
+    # stack runs in one block (BLAS's summation order depends on a 2-D
+    # matmul's row count)
+    blocks = [N] if layout == "rows" else [step, N - step]
+    assert sizes == blocks * (2 + (depth > 1))
 
 
+@pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("layout", ATTEND_LAYOUTS)
 def test_attend_in_row_blocks_is_bit_identical_to_one_block(
-        monkeypatch, layout, depth):
+        monkeypatch, layout, depth, step):
     u, v, parts, nbr = _attend_inputs(layout, depth, seed=5)
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
     want = _attend_bits(u, v, parts, nbr)
     sizes = _ragged_blocks(monkeypatch, layout,
-                           [w.shape[1] for w, _ in u + v])
+                           [w.shape[1] for w, _ in u + v], step)
     assert _attend_bits(u, v, parts, nbr) == want
     # the taped forward runs v and u per block, its backward recomputes v
     # and then u, and the eager forward runs as the taped one
-    assert sizes == [4, 4, 2, 2] + [4, 2] * 2 + [4, 4, 2, 2]
+    a, b = step, N - step
+    assert sizes == [a, a, b, b] + [a, b] * 2 + [a, a, b, b]
 
 
 def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
