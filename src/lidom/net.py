@@ -13,10 +13,32 @@ Config flags expose the published ablations: uniform (non-attentive) cost
 volume, no mask, per-level mask without coarse-to-fine conditioning, no warp,
 no refinement at all (single pose), and the first embedding at the coarsest
 level instead of the penultimate one.
+
+The pyramid's sampling (FPS centres and k-NN tables, pcops.sample_pyramid)
+uses no parameter, and nothing pc1 does needs pc2's until the first cost
+volume.  So forward sends pc2's subsample to a sampler process and samples
+and runs pc1's pyramid meanwhile, on a second core.  The child runs the same
+sample_pyramid from the same lidom sources on the same float64 points, and
+pickle carries arrays across the pipe byte for byte, so poses, tapes and
+gradients are bit-identical to sampling in this process.  The sampler is
+one child per Python process, shared by every OdometryNet.  The first
+forward starts it with subprocess.Popen running `python -c` (not fork, and
+not multiprocessing, which re-imports the caller's __main__).  It exits when
+its stdin closes: at interpreter exit an atexit hook closes that pipe and
+reaps it, and if this process dies the pipe closes with it.  A forward whose
+sampler cannot start or has died samples pc2 in this process with the same
+function, and the next forward starts a new sampler; a forward that raises
+with a request in flight kills the sampler, so no later request can read
+that reply.
 """
 from __future__ import annotations
 
+import atexit
 import numbers
+import os
+import sys
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,8 +46,8 @@ import numpy as np
 from . import tensor as T
 from .costvol import CostVolume
 from .headmask import RefineBlock, make_mask, pose_head, warp_refine
-from .pcops import (FcStack, PcopsError, SharedMLP, farthest_point_sample,
-                    random_sample, set_conv)
+from .pcops import (FcStack, PcopsError, SharedMLP, random_sample,
+                    sample_pyramid, set_conv)
 
 __all__ = ["NetConfig", "NetError", "OdometryNet", "NetOutput", "LevelOutput",
            "desk_config", "full_config"]
@@ -213,20 +235,14 @@ class OdometryNet:
                            if with_prior else None),
                 )
 
-    def _run_pyramid(self, name: str, pts: np.ndarray,
-                     depth: int = 4) -> _Pyramid:
-        """The first `depth` pyramid levels of one cloud."""
+    def _run_pyramid(self, pts: np.ndarray, tables) -> _Pyramid:
+        """The pyramid levels of one cloud, one per (centers, nbr) table
+        that sample_pyramid gives for it."""
         out = _Pyramid()
         coords = T.const(pts)
         feats: T.Tensor | None = None
-        for i, (n, _) in enumerate(self.cfg.levels()[:depth]):
-            try:
-                centers, nbr = farthest_point_sample(coords.data, n,
-                                                     self.cfg.knn_k)
-            except PcopsError as e:  # too few distinct points in the scan
-                raise NetError(f"{name}: {e}") from e
-            coords, feats = set_conv(coords, feats, centers, nbr,
-                                     self.pyramid[i])
+        for mlp, (centers, nbr) in zip(self.pyramid, tables):
+            coords, feats = set_conv(coords, feats, centers, nbr, mlp)
             out.coords.append(coords)
             out.feats.append(feats)
             out.center_idx.append(centers)
@@ -246,11 +262,14 @@ class OdometryNet:
         sub1 = pc1[random_sample(pc1.shape[0], cfg.n_input, rng)]
         sub2 = pc2[random_sample(pc2.shape[0], cfg.n_input, rng)]
 
-        p1 = self._run_pyramid("pc1", sub1)
+        sizes = [n for n, _ in cfg.levels()]
         # pc2's coarsest level is read only by a last-level first embedding:
         # the penultimate one and every refinement step use levels 3-1
-        p2 = self._run_pyramid("pc2", sub2,
-                               4 if cfg.first_embedding == "last" else 3)
+        sizes2 = sizes if cfg.first_embedding == "last" else sizes[:3]
+        with _SAMPLER.tables(sub2, sizes2, cfg.knn_k) as pc2_tables:
+            p1 = self._run_pyramid(sub1, _named("pc1", sample_pyramid, sub1,
+                                                sizes, cfg.knn_k))
+            p2 = self._run_pyramid(sub2, _named("pc2", pc2_tables))
 
         if cfg.first_embedding == "penultimate":
             e3 = self.cv_init(p1.coords[2], p1.feats[2],
@@ -281,3 +300,147 @@ class OdometryNet:
                 levels.append(LevelOutput(level, p1.coords[idx].data,
                                           q, t, emb, mask))
         return NetOutput(levels)
+
+
+def _named(name: str, tables, *args):
+    """tables(*args), with a PcopsError (too few distinct points in the
+    scan) raised as a NetError naming the cloud."""
+    try:
+        return tables(*args)
+    except PcopsError as e:
+        raise NetError(f"{name}: {e}") from e
+
+
+# Seconds the sampler gets to exit once its stdin closes, before a kill.
+_EXIT_TIMEOUT_S = 2.0
+
+
+class _Sampler:
+    """The sampler process (see the module docstring): a child that runs
+    sample_pyramid for pickled (points, sizes, k) requests on its stdin and
+    writes each reply, (True, tables) or (False, PcopsError message), to its
+    stdout pipe."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # one request in flight
+        self._proc = None              # subprocess.Popen once started
+        self._owner = 0                # pid of the process that started it
+
+    @contextmanager
+    def tables(self, points: np.ndarray, sizes: list[int], k: int):
+        """Send sample_pyramid(points, sizes, k) to the child and yield a
+        function that returns its tables (or raises its PcopsError).  They
+        come from this process instead when the child cannot start, has
+        died, or is busy with another thread's request.  A request still in
+        flight when the block exits kills the child."""
+        if not self._lock.acquire(blocking=False):
+            yield lambda: sample_pyramid(points, sizes, k)
+            return
+        try:
+            # True until a send fails cleanly or the reply is read: an
+            # interrupted write or read leaves the pipes mid-message
+            pending = True
+            pending = self._send((points, sizes, k))
+
+            def result():
+                nonlocal pending
+                reply = self._receive() if pending else None
+                pending = False
+                if reply is None:
+                    return sample_pyramid(points, sizes, k)
+                ok, payload = reply
+                if not ok:
+                    raise PcopsError(payload)
+                return payload
+
+            yield result
+        finally:
+            if pending:
+                self._stop(kill=True)
+            self._lock.release()
+
+    def _send(self, request) -> bool:
+        import pickle
+        if self._owner != os.getpid():  # none started, or a fork's parent's
+            self._proc = None
+            self._start()
+        if self._proc is None:
+            return False
+        try:
+            pickle.dump(request, self._proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self._proc.stdin.flush()
+            return True
+        except OSError:  # BrokenPipeError: the child has died
+            self._stop(kill=True)
+            return False
+
+    def _receive(self):
+        import pickle
+        try:
+            return pickle.load(self._proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self._stop(kill=True)
+            return None
+
+    def _start(self) -> None:
+        import subprocess
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "from lidom.net import _sampler_main; _sampler_main()")
+        try:
+            self._proc = subprocess.Popen([sys.executable, "-c", code],
+                                          stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE)
+            self._owner = os.getpid()
+        except OSError:
+            self._proc = None
+
+    def _stop(self, kill: bool) -> None:
+        """Close the child's pipes and reap it: kill it first if asked, or
+        if it has not exited within _EXIT_TIMEOUT_S of its stdin closing."""
+        proc, self._proc, self._owner = self._proc, None, 0
+        if proc is None:
+            return
+        import subprocess
+        if kill:
+            proc.kill()
+        with suppress(OSError):  # an interrupted write's rest cannot go
+            proc.stdin.close()
+        try:
+            proc.wait(timeout=_EXIT_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+    def close(self) -> None:
+        if self._owner == os.getpid():
+            self._stop(kill=False)
+
+
+_SAMPLER = _Sampler()
+atexit.register(_SAMPLER.close)
+
+
+def _sampler_main() -> None:
+    """The sampler process's loop: answer requests until stdin closes."""
+    import pickle
+    import signal
+    # Ctrl-C reaches the whole process group: the parent handles it, and
+    # its exit closes stdin
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests, replies = sys.stdin.buffer, sys.stdout.buffer
+    while True:
+        try:
+            points, sizes, k = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = (True, sample_pyramid(points, sizes, k))
+        except PcopsError as e:
+            reply = (False, str(e))
+        try:
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+        except BrokenPipeError:  # the parent has gone: exit without a flush
+            os._exit(0)

@@ -10,8 +10,19 @@ each query's k-th distance, and only the entries within it are sorted (the
 k that are the answer, more when the query ties at its k-th distance).
 FPS computes each pick's distance row to the whole cloud anyway, so it
 returns the pick's k nearest points with it, by the same selection:
-set_conv takes that table and the pyramid runs no KNN of its own.  Both reject clouds that are not (n, 3) or not finite, and FPS
-rejects a cloud with fewer distinct points than it must pick.
+set_conv takes that table and the pyramid runs no KNN of its own.  Both
+reject clouds that are not (n, 3) or not finite, and FPS rejects a cloud
+with fewer distinct points than it must pick.
+
+sample_pyramid runs FPS level after level and returns every level's
+(centers, nbr) for one cloud.  No parameter reaches those tables, so they
+can be built anywhere: OdometryNet.forward builds pc2's in a sampler
+process while it runs pc1's pyramid.  The child runs this same function on
+the same float64 points, and pickle carries the points and the integer
+tables across the pipe byte for byte, so the tables, and every pose after
+them, are those of an in-process call.  The first forward starts the
+sampler, and it exits when its parent closes its stdin, at exit or on
+dying (see net).
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
@@ -37,7 +48,7 @@ from . import tensor as T
 __all__ = [
     "PcopsError", "SharedMLP", "FcStack",
     "farthest_point_sample", "knn_indices", "random_sample",
-    "set_conv", "set_upconv",
+    "sample_pyramid", "set_conv", "set_upconv",
 ]
 
 # Queries per KNN chunk: rows * n_ref elements, so that each (rows, n_ref)
@@ -136,7 +147,7 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
             nxt = 0
             d2[:] = _sq_dists(cols, points[0], row, tmp)
         else:
-            nxt = int(np.argmax(d2))  # first max wins ties
+            nxt = int(d2.argmax())  # first max wins ties
             if d2[nxt] == 0.0:  # the i picks so far are every distinct point
                 raise PcopsError(f"cannot sample {m} distinct points from a "
                                  f"cloud with {i} distinct points")
@@ -148,6 +159,23 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
                                      within_buf[:i + 1 - lo],
                                      kth_buf[:i + 1 - lo])
     return sel, nbr
+
+
+def sample_pyramid(points: np.ndarray, sizes, k: int
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each pyramid level's (centers, nbr) for one cloud, finest first.
+
+    Level i takes sizes[i] centers from the level below it (level 1 from
+    points) by farthest_point_sample, with each center's k nearest points
+    there; both index the level below.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    tables = []
+    for m in sizes:
+        centers, nbr = farthest_point_sample(points, m, k)
+        tables.append((centers, nbr))
+        points = points[centers]
+    return tables
 
 
 def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:

@@ -2,7 +2,13 @@
 the work a forward does, the tape's lifetime and a whole-network gradient
 check."""
 import gc
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from conftest import grad_gap
 from lidom import tensor as T
 from lidom.costvol import CostVolume
 from lidom.net import NetError, OdometryNet, desk_config
-from lidom.pcops import FcStack, SharedMLP
+from lidom.pcops import FcStack, PcopsError, SharedMLP
 
 
 def _scans(seed=0, n=600):
@@ -64,6 +70,28 @@ def test_forward_rejects_a_scan_with_fewer_distinct_points_than_level_1():
     pc = np.random.default_rng(1).normal(size=(100, 3))
     with pytest.raises(NetError, match="pc1: cannot sample 128 distinct"):
         OdometryNet(desk_config()).forward(pc, pc)
+
+
+def test_forward_rejects_a_pc2_with_fewer_distinct_points_than_level_1(
+        monkeypatch):
+    pc1 = _scans()[0]
+    few = np.random.default_rng(1).normal(size=(100, 3))
+    calls = _counting(monkeypatch, lidom.net, "sample_pyramid")
+    net = OdometryNet(desk_config())
+    # pc2 is sampled in the sampler process; its error crosses the pipe
+    # with its type and message
+    with pytest.raises(NetError, match="pc2: cannot sample 128 distinct") \
+            as info:
+        net.forward(pc1, few)
+    assert isinstance(info.value.__cause__, PcopsError)
+    assert len(calls) == 1
+    # pc1's error comes first, with pc2's request still in flight
+    with pytest.raises(NetError, match="pc1: cannot sample 128 distinct"):
+        net.forward(few, few)
+    # which no later request reads: that reply is an error
+    fresh = OdometryNet(desk_config()).forward(*_scans())
+    assert _poses(net.forward(*_scans())).tobytes() == \
+        _poses(fresh).tobytes()
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -174,11 +202,14 @@ def _counting(monkeypatch, owner, name):
 def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
                                                     fps_calls):
     # a penultimate first embedding and every refinement step read pc2's
-    # levels 3-1 only, so its coarsest level is not built
-    fps = _counting(monkeypatch, lidom.net, "farthest_point_sample")
+    # levels 3-1 only, so its coarsest level is neither sampled nor built
+    pyramids = _counting(monkeypatch, OdometryNet, "_run_pyramid")
     convs = _counting(monkeypatch, lidom.net, "set_conv")
     OdometryNet(desk_config(first_embedding=first)).forward(*_scans())
-    assert len(fps) == fps_calls
+    # one FPS per (centers, nbr) table: pc1's from this process, pc2's from
+    # the sampler
+    assert [len(tables) for _, _, tables in pyramids] == \
+        [4, fps_calls - 4]
     # the penultimate embedding adds the carry set_conv to the pyramid's
     assert len(convs) == fps_calls + (first == "penultimate")
 
@@ -357,3 +388,117 @@ def test_whole_network_gradient_matches_central_differences():
         numeric = (loss[0] - loss[1]) / (2.0 * h)
         gap = grad_gap(np.array([grads[p.name][j]]), np.array([numeric]))
         assert gap < 1e-4, (p.name, j, grads[p.name][j], numeric)
+
+
+def _outputs(out):
+    """Every array a forward hands back, level by level."""
+    return [a.tobytes() for lv in out.levels
+            for a in (lv.coords, lv.q.data, lv.t.data, lv.embedding.data,
+                      lv.mask.data if lv.mask is not None else np.empty(0))]
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
+                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+def test_the_sampler_gives_the_bits_of_sampling_in_process(monkeypatch,
+                                                           overrides):
+    net = OdometryNet(desk_config(**overrides))
+    pc1, pc2 = _scans()
+    calls = _counting(monkeypatch, lidom.net, "sample_pyramid")
+
+    def both():
+        eager = net.forward(pc1, pc2)
+        tape, taped, _, grads = _train_step(net, pc1, pc2)
+        return _outputs(eager), _outputs(taped), grads
+
+    eager, taped, grads = both()
+    assert len(calls) == 2   # pc1's, per forward: pc2's ran in the sampler
+    # a request in flight holds the lock, so a forward samples in process
+    with lidom.net._SAMPLER._lock:
+        serial = both()
+    assert len(calls) == 6
+    assert eager == serial[0] and taped == serial[1] and eager == taped
+    assert grads.keys() == serial[2].keys()
+    for name, g in grads.items():
+        assert g.tobytes() == serial[2][name].tobytes(), name
+
+
+def test_forwards_on_threads_get_their_own_pc2_tables():
+    # one thread's request holds the sampler, the others sample in process;
+    # a reply read by the wrong request would change that forward's poses
+    nets = [OdometryNet(desk_config(init_seed=i)) for i in range(2)]
+    jobs = [(nets[i % 2], *_scans(seed=i)) for i in range(6)]
+    want = [_poses(net.forward(pc1, pc2)).tobytes() for net, pc1, pc2 in jobs]
+    got = [[] for _ in jobs]
+
+    def run(i):
+        for _ in range(3):
+            got[i].append(_poses(jobs[i][0].forward(*jobs[i][1:])).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
+
+
+def test_a_sampler_that_cannot_start_samples_in_process(monkeypatch,
+                                                        tmp_path):
+    want = _poses(OdometryNet(desk_config()).forward(*_scans())).tobytes()
+    lidom.net._SAMPLER.close()
+    calls = _counting(monkeypatch, lidom.net, "sample_pyramid")
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+    net = OdometryNet(desk_config())
+    assert _poses(net.forward(*_scans())).tobytes() == want
+    assert len(calls) == 2 and lidom.net._SAMPLER._proc is None
+    monkeypatch.undo()
+    assert _poses(net.forward(*_scans())).tobytes() == want
+    assert lidom.net._SAMPLER._proc is not None
+
+
+# No `if __name__ == "__main__"` guard: a sampler started through
+# multiprocessing's spawn would re-run this whole script
+LIFECYCLE_SCRIPT = """
+import sys
+import numpy as np
+sys.path.insert(0, {src!r})
+import lidom.net as N
+
+def poses(net):
+    rng = np.random.default_rng(0)
+    out = net.forward(rng.normal(size=(600, 3)), rng.normal(size=(600, 3)))
+    return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
+                    for lv in out.levels)
+
+net = N.OdometryNet(N.desk_config())
+first = poses(net)
+proc = N._SAMPLER._proc
+print(proc.pid)
+proc.kill()
+proc.wait()
+assert poses(net) == first   # sampled in this process: the sampler died
+assert N._SAMPLER._proc is None
+assert poses(net) == first   # by a new sampler
+print(N._SAMPLER._proc.pid)
+"""
+
+
+def test_the_sampler_exits_with_its_process_and_survives_a_kill(tmp_path):
+    src = Path(lidom.net.__file__).resolve().parents[1]
+    script = tmp_path / "two_forwards.py"
+    script.write_text(textwrap.dedent(LIFECYCLE_SCRIPT.format(src=str(src))))
+    run = subprocess.run([sys.executable, "-W", "error", str(script)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    pids = [int(line) for line in run.stdout.split()]
+    assert len(pids) == 2 and pids[0] != pids[1]
+    for pid in pids:   # the killed sampler and the one atexit reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

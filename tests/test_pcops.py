@@ -215,6 +215,22 @@ def test_fps_table_when_every_point_is_picked(k):
     assert nbr.tolist() == P.knn_indices(pts[centers], pts, k).tolist()
 
 
+@pytest.mark.parametrize("sizes, k", [([512, 128, 64, 32, 16], 8),
+                                      ([300, 300, 7], 7), ([1], 1)])
+def test_sample_pyramid_equals_fps_level_by_level(sizes, k):
+    # the per-level loop the network ran before sample_pyramid: each level
+    # samples the gathered coordinates of the level below
+    pts = np.random.default_rng(3).normal(size=(600, 3))
+    coords = T.const(pts)
+    tables = P.sample_pyramid(pts, sizes, k)
+    assert len(tables) == len(sizes)
+    for (centers, nbr), m in zip(tables, sizes):
+        want_c, want_nbr = P.farthest_point_sample(coords.data, m, k)
+        assert centers.tobytes() == want_c.tobytes()
+        assert nbr.tobytes() == want_nbr.tobytes()
+        coords = T.gather_rows(coords, want_c)
+
+
 def test_fps_rejects_bad_k():
     pts = np.arange(12.0).reshape(4, 3)
     for k in (0, -1, 5):
