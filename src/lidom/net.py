@@ -30,6 +30,15 @@ sampler cannot start or has died samples pc2 in this process with the same
 function, and the next forward starts a new sampler; a forward that raises
 with a request in flight kills the sampler, so no later request can read
 that reply.
+
+Once the sampler's work is done the second core runs half of the per-edge
+work instead: every per-edge mlp and attend op (the set_convs, the cost
+volumes, the set_upconvs) and every KNN call splits its rows into blocks
+that this thread and one helper thread claim in turn (tensor._each).  A
+block writes only its own rows, by the same code, so poses, tapes and
+gradients keep the bits of one thread.  Like the sampler, the helper is
+one per process, the first forward that needs it starts it, and a forked
+child starts its own.
 """
 from __future__ import annotations
 

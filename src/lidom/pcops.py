@@ -12,7 +12,10 @@ FPS computes each pick's distance row to the whole cloud anyway, so it
 returns the pick's k nearest points with it, by the same selection:
 set_conv takes that table and the pyramid runs no KNN of its own.  Both
 reject clouds that are not (n, 3) or not finite, and FPS rejects a cloud
-with fewer distinct points than it must pick.
+with fewer distinct points than it must pick.  knn_indices runs its chunks
+of queries on two threads (tensor._each: the caller and one helper), each
+thread with its own work buffers; a chunk writes only its own rows of the
+table, by the same code, so the table has the bits of one thread's.
 
 sample_pyramid runs FPS level after level and returns every level's
 (centers, nbr) for one cloud.  No parameter reaches those tables, so they
@@ -40,6 +43,8 @@ Shared MLPs apply relu on every layer; the FC stacks used by pose heads
 elsewhere do not (see headmask).
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -191,11 +196,15 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     _check_k(k, n)
     ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
     chunk = max(1, min(query.shape[0], _KNN_CHUNK_ELEMS // n))
-    d2_buf = np.empty((chunk, n))
-    tmp_buf = np.empty((chunk, n))
-    within_buf = np.empty((chunk, n), dtype=bool)
     out = np.empty((query.shape[0], k), dtype=np.int64)
-    for lo in range(0, query.shape[0], chunk):
+    bufs = {}   # each thread's (d2, tmp, within) chunk buffers
+
+    def select(lo):
+        tid = threading.get_ident()
+        if tid not in bufs:
+            bufs[tid] = (np.empty((chunk, n)), np.empty((chunk, n)),
+                         np.empty((chunk, n), dtype=bool))
+        d2_buf, tmp_buf, within_buf = bufs[tid]
         q = query[lo:lo + chunk]
         rows = q.shape[0]
         d2 = _sq_dists(q.T[:, :, None], ref_cols, d2_buf[:rows],
@@ -203,6 +212,8 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
         # the distances are done with tmp_buf, so the selection reuses it
         out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows],
                                      tmp_buf[:rows])
+
+    T._each(select, range(0, query.shape[0], chunk))
     return out
 
 

@@ -27,6 +27,16 @@ row-local (a matmul per row), so the blocks give the bits of one pass over
 all rows.  A per-row stack's layer is one 2-D matmul, whose BLAS
 summation order depends on the row count, so it runs in one pass.
 
+The blocks of one op run on two threads, the caller's and the process's
+one helper thread (_each): each thread claims the next block and runs it
+by the same code into that block's own output rows, and no block touches a
+tape, so which thread runs a block changes no bit, and the op records its
+node on the caller's thread once every block is done.  numpy's loops and
+BLAS release the interpreter lock, so the two threads' blocks overlap on
+two cores.  pcops.knn_indices runs its query chunks the same way.  The
+helper starts with the first call that has two blocks, never at import;
+a forked child starts its own.
+
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
@@ -39,7 +49,9 @@ Everything is double precision end to end.
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -340,6 +352,94 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _BLOCK_ELEMS = 1 << 16
 
 
+class _Job:
+    """One _each call's items, claimed one at a time under cond by the
+    calling thread and the helper."""
+
+    def __init__(self, fn: Callable, items: Sequence) -> None:
+        self.fn, self.items = fn, items
+        self.next = 0      # the next item to claim
+        self.busy = 0      # items claimed and not yet finished
+        self.error: BaseException | None = None
+        self.cond = threading.Condition(threading.Lock())
+
+    def run(self) -> None:
+        """Claim and run items until none is left or one has raised."""
+        cond = self.cond
+        while True:
+            with cond:
+                if self.error is not None or self.next >= len(self.items):
+                    return
+                item = self.items[self.next]
+                self.next += 1
+                self.busy += 1
+            error = None
+            try:
+                self.fn(item)
+            except BaseException as e:  # raised again by the calling thread
+                error = e
+            with cond:
+                self.busy -= 1
+                if self.error is None:
+                    self.error = error
+                cond.notify_all()
+
+
+class _Helper:
+    """The process's one helper thread, which runs the _Job objects put on
+    its queue.  The first _each call with two or more items starts it, never
+    the import; a forked child, which has no copy of the thread, starts its
+    own (the owner pid differs)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()   # one thread starts the helper
+        self._jobs = None               # the thread's queue.SimpleQueue
+        self._owner = 0                 # pid of the process that started it
+
+    def submit(self, job: _Job) -> None:
+        with self._lock:
+            if self._owner != os.getpid():
+                import queue
+                self._jobs = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(self._jobs,),
+                                 name="lidom-helper", daemon=True).start()
+                self._owner = os.getpid()
+            self._jobs.put(job)
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+_HELPER = _Helper()
+
+
+def _each(fn: Callable, items: Sequence) -> None:
+    """fn(item) for every item, on this thread and on the helper thread:
+    each claims the next unclaimed item.  This thread waits only for items
+    the helper has claimed, so a helper that is busy with another call (a
+    nested one, or another thread's) or not yet running never stalls it,
+    and no call can deadlock.  The first exception stops further claims and
+    is raised here once the other thread has finished its current item.
+
+    The items must write disjoint outputs and touch no tape: a caller
+    records its node after the call, on its own thread."""
+    if len(items) < 2:
+        for item in items:
+            fn(item)
+        return
+    job = _Job(fn, items)
+    _HELPER.submit(job)
+    job.run()
+    with job.cond:
+        job.cond.wait_for(lambda: job.busy == 0)
+        # a job the helper has not reached yet holds on to nothing
+        error, job.error, job.fn, job.items = job.error, None, None, ()
+    if error is not None:
+        raise error
+
+
 def _project(pd: np.ndarray, wj: np.ndarray, out=None) -> np.ndarray:
     """pd @ wj, into out if given.  A width-1 part's product is an outer
     product: the broadcast multiply gives matmul's bits at a fraction of its
@@ -500,13 +600,13 @@ def _forward(stack: tuple, srcs: list, rows: slice, relu_last: bool,
 def _fill(stack: tuple, datas: list, outs: list,
           relu_last: bool = True) -> list:
     """Run the stack's first len(outs) layers over every row, block by
-    block, each into its full-size array in outs (None: kept per block
-    only); returns outs."""
+    block on two threads (_each), each into its full-size array in outs
+    (None: kept per block only); returns outs."""
     if outs:
         srcs = _sources(stack, datas)
-        for rows in _blocks(stack):
-            _forward(stack, srcs, rows, relu_last,
-                     [None if o is None else o[rows] for o in outs])
+        _each(lambda rows: _forward(
+            stack, srcs, rows, relu_last,
+            [None if o is None else o[rows] for o in outs]), _blocks(stack))
     return outs
 
 
@@ -570,11 +670,11 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     A per-edge stack runs in blocks of output rows (centres), each sized so
     that one per-edge array of it is about 512 KiB (_BLOCK_ELEMS): a block
     runs every layer while its arrays stay in cache, and writes its rows of
-    the output.  Every op in such a block is row-local (a matmul per
-    centre), so the blocks give the bits of one pass over all rows.  A
-    per-row stack runs as one block (see _blocks).  Within a block the
-    parts accumulate in place into the first projection and the relu,
-    max(x, 0.0), runs in place.
+    the output, on this thread or the helper (_each).  Every op in such a
+    block is row-local (a matmul per centre), so the blocks give the bits of
+    one pass over all rows.  A per-row stack runs as one block (see
+    _blocks).  Within a block the parts accumulate in place into the first
+    projection and the relu, max(x, 0.0), runs in place.
 
     A taped mlp keeps only its parts' arrays and, with relu_last, one bool
     mask of its output.  Its backward recomputes the hidden layers from the
@@ -646,11 +746,14 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
 
     out = np.empty((nbr.shape[0], out_shape[-1]))
     vsrc, usrc = _sources(v, datas), _sources(u, datas)
-    for rows in _blocks(v, u):
+
+    def block(rows):
         val = _forward(v, vsrc, rows, True, [None] * len(v_layers))
         logits = _forward(u, usrc, rows, False, [None] * len(u_layers))
         val *= _softmax(logits, 1, out=logits)
         val.sum(axis=1, out=out[rows])
+
+    _each(block, _blocks(v, u))
     if _ACTIVE is None:
         return Tensor(out)
     inputs = (*(t for layer in u_layers for t in layer), *parts,

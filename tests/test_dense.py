@@ -13,6 +13,9 @@ compares with the sign of zero cleared.  The oracle for a stack,
 with mlp.  The oracle for attend, `attend_chain`, is mlp for u and v, then
 softmax_axis, mul and reduce_sum.
 """
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -418,20 +421,27 @@ ONE_BLOCK = 1 << 62    # a _BLOCK_ELEMS that fits any test stack in one block
 def _ragged_blocks(monkeypatch, layout, widths, step):
     """Make mlp and attend run a layout's N = 6 rows in blocks of step rows
     and a ragged last one: _BLOCK_ELEMS is step rows of the widest layer
-    output.  Returns the list that records the rows of every block the
-    stacks run."""
+    output.  Returns a list that gets, per _each call in order, the sorted
+    row counts of the blocks the stacks run in it: the calling thread and
+    the helper share a call's blocks, so their order is not fixed."""
     shapes, nbr = LAYOUTS[layout]
     per_edge = nbr is not None or len(shapes[0]) == 3
     monkeypatch.setattr(T, "_BLOCK_ELEMS",
                         step * (K if per_edge else 1) * max(widths))
-    sizes, forward = [], T._forward
+    calls, each, forward = [], T._each, T._forward
 
-    def spy(stack, srcs, rows, relu_last, outs):
-        sizes.append(rows.stop - rows.start)
+    def each_spy(fn, items):
+        calls.append([])
+        each(fn, items)
+        calls[-1].sort()
+
+    def forward_spy(stack, srcs, rows, relu_last, outs):
+        calls[-1].append(rows.stop - rows.start)
         return forward(stack, srcs, rows, relu_last, outs)
 
-    monkeypatch.setattr(T, "_forward", spy)
-    return sizes
+    monkeypatch.setattr(T, "_each", each_spy)
+    monkeypatch.setattr(T, "_forward", forward_spy)
+    return calls
 
 
 def _mlp_bits(layers, parts, nbr, relu_last):
@@ -467,15 +477,15 @@ def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
     layers, parts, nbr = _stack_inputs(layout, depth, seed=4)
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
     want = _mlp_bits(layers, parts, nbr, relu_last)
-    sizes = _ragged_blocks(monkeypatch, layout,
+    calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in layers], step)
     assert _mlp_bits(layers, parts, nbr, relu_last) == want
     # eager and taped forwards, and the backward's recompute of the hidden
     # layers, each in a block of step rows and a ragged one; a per-row
     # stack runs in one block (BLAS's summation order depends on a 2-D
     # matmul's row count)
-    blocks = [N] if layout == "rows" else [step, N - step]
-    assert sizes == blocks * (2 + (depth > 1))
+    blocks = [N] if layout == "rows" else sorted([step, N - step])
+    assert calls == [blocks] * (2 + (depth > 1))
 
 
 @pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
@@ -486,13 +496,14 @@ def test_attend_in_row_blocks_is_bit_identical_to_one_block(
     u, v, parts, nbr = _attend_inputs(layout, depth, seed=5)
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
     want = _attend_bits(u, v, parts, nbr)
-    sizes = _ragged_blocks(monkeypatch, layout,
+    calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in u + v], step)
     assert _attend_bits(u, v, parts, nbr) == want
     # the taped forward runs v and u per block, its backward recomputes v
     # and then u, and the eager forward runs as the taped one
-    a, b = step, N - step
-    assert sizes == [a, a, b, b] + [a, b] * 2 + [a, a, b, b]
+    blocks = sorted([step, N - step])
+    both = sorted(blocks * 2)
+    assert calls == [both, blocks, blocks, both]
 
 
 def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
@@ -517,8 +528,63 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
     assert len(T._blocks(T._stack("attend", [(T.const(w), T.const(b))
                                              for w, b in v],
                                   [p.shape for p in cv_parts], nbr))) == 16
-    blocked = (_attend_bits(u, v, cv_parts, nbr),
-               _mlp_bits(sc, sc_parts, sc_nbr, True))
+    threads, forward = set(), T._forward
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return forward(*args)
+
+    def bits():
+        threads.clear()
+        return (_attend_bits(u, v, cv_parts, nbr),
+                _mlp_bits(sc, sc_parts, sc_nbr, True))
+
+    monkeypatch.setattr(T, "_forward", spy)
+    blocked = bits()
+    # the blocks ran on this thread and on the helper
+    assert len(threads) == 2 and threading.get_ident() in threads
+    # with the helper given no job, this thread runs every block
+    with monkeypatch.context() as m:
+        m.setattr(T._HELPER, "submit", lambda job: None)
+        assert bits() == blocked and threads == {threading.get_ident()}
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
-    assert blocked == (_attend_bits(u, v, cv_parts, nbr),
-                       _mlp_bits(sc, sc_parts, sc_nbr, True))
+    assert bits() == blocked
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_a_block_that_raises_fails_the_op_once_no_block_runs(monkeypatch,
+                                                             raiser):
+    # each thread's first block waits for the other's; then one raises
+    # while the other's is still running, and mlp must raise only once that
+    # one is done, having started no further block
+    layers, parts, nbr = _stack_inputs("set_conv", 2, seed=4)
+    want = _mlp_bits(layers, parts, nbr, True)
+    _ragged_blocks(monkeypatch, "set_conv", [w.shape[1] for w, _ in layers],
+                   1)
+    caller, forward = threading.get_ident(), T._forward
+    met, lock = threading.Barrier(2, timeout=30), threading.Lock()
+    started, running = [], [0]
+
+    def spy(*args):
+        with lock:
+            started.append(threading.get_ident())
+            running[0] += 1
+        try:
+            met.wait()
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raise RuntimeError("block failed")
+            time.sleep(0.2)
+            return forward(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(T, "_forward", spy)
+    with pytest.raises(RuntimeError, match="block failed"):
+        T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+              *[T.const(a) for a in parts], nbr=nbr)
+    assert running == [0] and len(started) == 2 and caller in started
+    # the helper outlives the failure and serves the next op
+    monkeypatch.setattr(T, "_forward", forward)
+    assert _mlp_bits(layers, parts, nbr, True) == want
+    assert "lidom-helper" in [t.name for t in threading.enumerate()]

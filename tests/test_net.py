@@ -16,6 +16,7 @@ import pytest
 import lidom.geom
 import lidom.headmask
 import lidom.net
+import lidom.pcops
 from conftest import grad_gap
 from lidom import tensor as T
 from lidom.costvol import CostVolume
@@ -422,12 +423,20 @@ def test_the_sampler_gives_the_bits_of_sampling_in_process(monkeypatch,
         assert g.tobytes() == serial[2][name].tobytes(), name
 
 
-def test_forwards_on_threads_get_their_own_pc2_tables():
+@pytest.mark.parametrize("fan_out", [False, True],
+                         ids=["cache-blocks", "every-op-fans-out"])
+def test_forwards_on_threads_get_their_own_pc2_tables(monkeypatch, fan_out):
     # one thread's request holds the sampler, the others sample in process;
-    # a reply read by the wrong request would change that forward's poses
+    # a reply read by the wrong request would change that forward's poses.
+    # With blocks of a row or two and KNN chunks of a few queries, every
+    # mlp, attend and KNN call splits its work, and the six threads share
+    # the one helper thread
     nets = [OdometryNet(desk_config(init_seed=i)) for i in range(2)]
     jobs = [(nets[i % 2], *_scans(seed=i)) for i in range(6)]
     want = [_poses(net.forward(pc1, pc2)).tobytes() for net, pc1, pc2 in jobs]
+    if fan_out:
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", 1 << 8)
+        monkeypatch.setattr(lidom.pcops, "_KNN_CHUNK_ELEMS", 1 << 10)
     got = [[] for _ in jobs]
 
     def run(i):
@@ -467,9 +476,11 @@ def test_a_sampler_that_cannot_start_samples_in_process(monkeypatch,
 # multiprocessing's spawn would re-run this whole script
 LIFECYCLE_SCRIPT = """
 import sys
+import threading
 import numpy as np
 sys.path.insert(0, {src!r})
 import lidom.net as N
+import lidom.tensor as T
 
 def poses(net):
     rng = np.random.default_rng(0)
@@ -477,8 +488,15 @@ def poses(net):
     return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
                     for lv in out.levels)
 
+def started():
+    return threading.active_count() - 1, N._SAMPLER._proc is not None
+
+assert started() == (0, False)   # importing starts nothing
 net = N.OdometryNet(N.desk_config())
+assert started() == (0, False)   # nor does building a network
+T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
 first = poses(net)
+assert started() == (1, True)    # the first forward starts both
 proc = N._SAMPLER._proc
 print(proc.pid)
 proc.kill()
@@ -500,5 +518,73 @@ def test_the_sampler_exits_with_its_process_and_survives_a_kill(tmp_path):
     pids = [int(line) for line in run.stdout.split()]
     assert len(pids) == 2 and pids[0] != pids[1]
     for pid in pids:   # the killed sampler and the one atexit reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+FORK_SCRIPT = """
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+import numpy as np
+sys.path.insert(0, {src!r})
+import lidom.net as N
+import lidom.tensor as T
+
+def poses(net):
+    rng = np.random.default_rng(0)
+    out = net.forward(rng.normal(size=(600, 3)), rng.normal(size=(600, 3)))
+    return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
+                    for lv in out.levels)
+
+T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
+net = N.OdometryNet(N.desk_config())
+first = poses(net)
+assert threading.active_count() == 2 and T._HELPER._owner == os.getpid()
+print(N._SAMPLER._proc.pid, flush=True)
+with warnings.catch_warnings():  # forking with a thread running is the test
+    warnings.simplefilter("ignore", DeprecationWarning)
+    pid = os.fork()
+if pid == 0:
+    # the child has no copy of the helper thread, so its first split op
+    # must start its own, as its first forward starts its own sampler
+    ok = False
+    try:
+        ok = (poses(net) == first and threading.active_count() == 2
+              and T._HELPER._owner == N._SAMPLER._owner == os.getpid())
+        os.write(1, b"%d\\n" % N._SAMPLER._proc.pid)
+        N._SAMPLER.close()
+    finally:
+        os._exit(0 if ok else 1)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's forward did not finish")
+    time.sleep(0.05)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_a_forked_child_starts_its_own_helper_thread(tmp_path):
+    src = Path(lidom.net.__file__).resolve().parents[1]
+    script = tmp_path / "fork.py"
+    script.write_text(textwrap.dedent(FORK_SCRIPT.format(src=str(src))))
+    # default warning filters: the child drops its copy of the parent's
+    # sampler handle, whose Popen warns (ResourceWarning) that the parent's
+    # sampler, which is not the child's to reap, still runs
+    run = subprocess.run([sys.executable, str(script)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    pids = [int(line) for line in run.stdout.split()]
+    assert len(pids) == 2 and pids[0] != pids[1]
+    for pid in pids:   # the parent's and the child's samplers
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
