@@ -36,9 +36,14 @@ work instead: every per-edge mlp and attend op (the set_convs, the cost
 volumes, the set_upconvs) and every KNN call splits its rows into blocks
 that this thread and one helper thread claim in turn (tensor._each).  A
 block writes only its own rows, by the same code, so poses, tapes and
-gradients keep the bits of one thread.  Like the sampler, the helper is
-one per process, the first forward that needs it starts it, and a forked
-child starts its own.
+gradients keep the bits of one thread.  A taped pair's backward shares
+the helper too: attend's recompute and softmax gradient run per block and
+its two stack backwards as two items, and each layer's parts and each
+hidden layer's input-gradient blocks are items, each written only by the
+code one thread would run, so the gradients keep their bits as well.
+Like the sampler, the helper is one per process, the first forward that
+needs it starts it, and a forked child starts its own; the child closes
+its copies of the parent's sampler pipes when it starts its sampler.
 """
 from __future__ import annotations
 
@@ -371,7 +376,7 @@ class _Sampler:
     def _send(self, request) -> bool:
         import pickle
         if self._owner != os.getpid():  # none started, or a fork's parent's
-            self._proc = None
+            self._forget()
             self._start()
         if self._proc is None:
             return False
@@ -403,6 +408,20 @@ class _Sampler:
             self._owner = os.getpid()
         except OSError:
             self._proc = None
+
+    def _forget(self) -> None:
+        """Drop a forked child's copy of its parent's sampler handle.  The
+        child closes its copies of both pipes, so that the sampler sees EOF
+        once the parent closes its own, and does not wait: the sampler is
+        not the child's to reap.  poll()'s waitpid fails with ECHILD, which
+        Popen takes as an exit, so the handle goes without a warning."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        for pipe in (proc.stdin, proc.stdout):
+            with suppress(OSError):
+                pipe.close()
+        proc.poll()
 
     def _stop(self, kill: bool) -> None:
         """Close the child's pipes and reap it: kill it first if asked, or

@@ -37,6 +37,15 @@ two cores.  pcops.knn_indices runs its query chunks the same way.  The
 helper starts with the first call that has two blocks, never at import;
 a forked child starts its own.
 
+Backward shares the helper by the same rule.  attend recomputes both
+stacks and the softmax gradient per block, and then its u and v stack
+backwards are two items; in a stack backward each hidden layer's input
+gradient runs per block, and each layer's parts are items that write
+their own rows of the weight gradient and their own part gradients.  An
+item computes its arrays by the code one thread would run and touches
+no tape, and Tape.backward adds the node's gradients on its own thread,
+in parent order, so every gradient keeps its bits.
+
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
@@ -507,27 +516,34 @@ def _layer_forward(wd: np.ndarray, bd: np.ndarray, srcs: list[np.ndarray],
 
 
 def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
-                    plan: tuple, need: Sequence[bool], out=None) -> tuple:
+                    plan: tuple, need: Sequence[bool]) -> tuple:
     """(weight grad, bias grad, part grads) of one layer, from the gradient
     g of its output with any relu mask already applied.  A part's gradient
-    is None unless need says a parameter reaches it.  out, if given, takes
-    the first part's gradient once that part's data is read, so it may be
-    that part's own buffer."""
+    is None unless need says a parameter reaches it.
+
+    The parts are _each items, on this thread and the helper: each one
+    unbroadcasts g to its rows (scatter-adding a gathered part's), and
+    writes only its own rows of the weight gradient and its own part
+    gradient, by the code one thread would run, so the bits hold."""
     bounds, gathered, shapes, _, bias_at, nbr = plan
     c = wd.shape[1]
     gw = np.empty(wd.shape)
     gb = _unbroadcast(g, (c,)) if bias_at is None else None
-    gparts = []
-    for j, pd in enumerate(datas):
-        lo, hi = bounds[j], bounds[j + 1]
+    gparts = [None] * len(datas)
+
+    def part(j):
+        nonlocal gb
+        pd, lo, hi = datas[j], bounds[j], bounds[j + 1]
         gj = _unbroadcast(g, shapes[j])
         if gathered[j]:
             gj = _scatter_rows(nbr, gj, pd.shape[0])
         if j == bias_at:
             gb = _unbroadcast(gj, (c,))
         gw[lo:hi] = pd.reshape(-1, hi - lo).T @ gj.reshape(-1, c)
-        gparts.append(np.matmul(gj, wd[lo:hi].T, out=out if j == 0 else None)
-                      if need[j] else None)
+        if need[j]:
+            gparts[j] = np.matmul(gj, wd[lo:hi].T)
+
+    _each(part, range(len(datas)))
     return gw, gb, gparts
 
 
@@ -617,12 +633,14 @@ def _hidden(stack: tuple, datas: list) -> list[list]:
     return [datas, *([h] for h in hidden)]
 
 
-def _run(stack: tuple, datas: list, relu_last: bool
-         ) -> tuple[list, np.ndarray]:
-    """(every layer's inputs, the last layer's output) of a stack."""
-    *hidden, out = _fill(stack, datas, [np.empty(p[3]) for p in stack[2]],
-                         relu_last)
-    return [datas, *([h] for h in hidden)], out
+def _hidden_grad(g: np.ndarray, wt: np.ndarray, h: np.ndarray,
+                 rows: slice) -> None:
+    """The gradient of a hidden layer's output h over the rows `rows`, into
+    h's own buffer: g's rows @ wt (the next layer's weight, transposed),
+    masked by h's relu, which is read first."""
+    live = h[rows] > 0.0
+    np.matmul(g[rows], wt, out=h[rows])
+    h[rows] *= live
 
 
 def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
@@ -631,22 +649,35 @@ def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
     last layer's relu mask (if any) already applied; ins is _hidden's list,
     dropped as it is spent, and need says which of the stack's inputs (w0,
     b0, w1, b1, ..., then the parts) a parameter reaches.  Returns ([w0, b0,
-    w1, b1, ...] grads, part grads), None where need is False."""
+    w1, b1, ...] grads, part grads), None where need is False.
+
+    A hidden layer computes its weight and bias gradients from its input h
+    first; then its input gradient, masked by h's relu, takes h's buffer
+    over the stack's row blocks, on this thread and the helper (_each,
+    _hidden_grad).  A per-edge block is a matmul per centre row, as one
+    pass over all rows is, and a per-row stack is one block (_blocks), so
+    the bits hold."""
     ws, _, plans = stack
     depth = len(ws)
     grads = [None] * (2 * depth)
+    blocks = _blocks(stack)
     for i in range(depth - 1, 0, -1):
-        # a hidden layer's relu mask, taken before its own (recomputed)
-        # buffer takes its gradient
-        h = ins[i][0]
-        live = h > 0.0
-        grads[2 * i], grads[2 * i + 1], (g,) = _layer_backward(
-            g, ws[i], ins[i], plans[i], (True,), out=h)
-        g *= live
-        ins[i] = None
+        grads[2 * i], grads[2 * i + 1], _ = _layer_backward(
+            g, ws[i], ins[i], plans[i], (False,))
+        (h,), ins[i] = ins[i], None
+        _each(lambda rows: _hidden_grad(g, ws[i].T, h, rows), blocks)
+        g = h
     grads[0], grads[1], gparts = _layer_backward(g, ws[0], ins[0], plans[0],
                                                  need[2 * depth:])
     return [gr if n else None for gr, n in zip(grads, need)], gparts
+
+
+def _stack_item(item: list) -> None:
+    """An _each item [g, stack, ins, need] of attend's backward, replaced by
+    [_stack_backward's result].  g leaves the list as the call takes it, so
+    that the stack's backward frees it once it is spent."""
+    stack, ins, need = item[1:]
+    item[:] = [_stack_backward(item.pop(0), stack, ins, need)]
 
 
 def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
@@ -719,12 +750,14 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
     place on u's block and the weighted values accumulate in place into
     v's, so no per-edge array is bigger than a block.
 
-    A taped attend keeps only its parts' arrays.  Its backward recomputes
-    each stack's hidden layers and output into full-size arrays, and the
-    softmax from them; replays the chain's sum, mul and softmax backward
-    arithmetic in the buffers of the values and of one temporary; and then
-    backpropagates through u's layers and then v's, holding neither stack's
-    incoming gradient itself.  The parts are listed twice among the node's
+    A taped attend keeps only its parts' arrays.  Its backward runs the
+    forward's blocks again: each recomputes its rows of both stacks'
+    hidden layers into full-size arrays, its values and softmax weights
+    into block temporaries, and replays the chain's sum, mul and softmax
+    backward arithmetic into its rows of the logits' and the values'
+    gradients.  Then u's and v's stack backwards run as two _each items,
+    which alone hold each stack's incoming gradient and hidden layers, so
+    each is freed once spent.  The parts are listed twice among the node's
     parents, u's copy first, and get u's and v's gradients separately (if a
     parameter reaches them), so the tape adds them in the chain's order.
     """
@@ -762,24 +795,35 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
     un = 2 * len(u_layers) + len(parts)
 
     def back(g):
-        vins, val = _run(v, datas, True)
-        uins, w = _run(u, datas, False)
-        _softmax(w, 1, out=w)
-        ge = np.expand_dims(g, 1)
-        live = val > 0.0
-        # the weights' gradient, then the logits', in val's buffer
-        glogits = np.multiply(ge, val, out=val)
-        gval = glogits * w
-        glogits -= gval.sum(axis=1, keepdims=True)
-        glogits *= w
-        # the values' gradient, in that temporary's buffer
-        gval = np.multiply(ge, w, out=gval)
-        gval *= live
-        # each stack's backward drops its incoming gradient as it goes
-        gin = [gval, glogits]
-        del val, w, live, gval, glogits
-        ugrads, ugparts = _stack_backward(gin.pop(), u, uins, need[:un])
-        vgrads, vgparts = _stack_backward(gin.pop(), v, vins, need[un:])
+        vsrc, usrc = _sources(v, datas), _sources(u, datas)
+        vh = [np.empty(p[3]) for p in v[2][:-1]]
+        uh = [np.empty(p[3]) for p in u[2][:-1]]
+        glogits, gval = np.empty(out_shape), np.empty(out_shape)
+
+        def block(rows):
+            # both stacks' hidden rows into their full-size arrays, the
+            # values and the softmax weights into block temporaries
+            val = _forward(v, vsrc, rows, True, [h[rows] for h in vh] + [None])
+            w = _forward(u, usrc, rows, False, [h[rows] for h in uh] + [None])
+            _softmax(w, 1, out=w)
+            ge = np.expand_dims(g[rows], 1)
+            # the weights' gradient, then the logits'
+            gl = np.multiply(ge, val, out=glogits[rows])
+            gv = np.multiply(gl, w, out=gval[rows])
+            gl -= gv.sum(axis=1, keepdims=True)
+            gl *= w
+            # the values' gradient
+            np.multiply(ge, w, out=gv)
+            gv *= val > 0.0
+
+        _each(block, _blocks(v, u))
+        # the items alone hold each stack's incoming gradient and hidden
+        # layers, which its backward drops as it goes
+        items = [[glogits, u, [datas, *([h] for h in uh)], need[:un]],
+                 [gval, v, [datas, *([h] for h in vh)], need[un:]]]
+        del vh, uh, glogits, gval
+        _each(_stack_item, items)
+        (ugrads, ugparts), (vgrads, vgparts) = (item[0] for item in items)
         return (*ugrads, *ugparts, *vgrads, *vgparts)
 
     return _make("attend", inputs, out, back)

@@ -421,27 +421,37 @@ ONE_BLOCK = 1 << 62    # a _BLOCK_ELEMS that fits any test stack in one block
 def _ragged_blocks(monkeypatch, layout, widths, step):
     """Make mlp and attend run a layout's N = 6 rows in blocks of step rows
     and a ragged last one: _BLOCK_ELEMS is step rows of the widest layer
-    output.  Returns a list that gets, per _each call in order, the sorted
-    row counts of the blocks the stacks run in it: the calling thread and
-    the helper share a call's blocks, so their order is not fixed."""
+    output.  Returns a list that gets one entry per _each call: ("rows",
+    its blocks' sorted row counts) for a call over row blocks, ("parts",
+    its item count) for a layer backward's parts, and ("stacks", 2) for
+    attend's two stack backwards.  The calling thread and the helper share
+    a call's items, so their order is not fixed, and neither is the order
+    of the calls that attend's two stack backwards make on two threads."""
     shapes, nbr = LAYOUTS[layout]
     per_edge = nbr is not None or len(shapes[0]) == 3
     monkeypatch.setattr(T, "_BLOCK_ELEMS",
                         step * (K if per_edge else 1) * max(widths))
-    calls, each, forward = [], T._each, T._forward
+    calls, each = [], T._each
 
     def each_spy(fn, items):
-        calls.append([])
+        if isinstance(items, range):
+            calls.append(("parts", len(items)))
+        elif all(isinstance(rows, slice) for rows in items):
+            calls.append(("rows", tuple(sorted(rows.stop - rows.start
+                                               for rows in items))))
+        else:
+            calls.append(("stacks", len(items)))
         each(fn, items)
-        calls[-1].sort()
-
-    def forward_spy(stack, srcs, rows, relu_last, outs):
-        calls[-1].append(rows.stop - rows.start)
-        return forward(stack, srcs, rows, relu_last, outs)
 
     monkeypatch.setattr(T, "_each", each_spy)
-    monkeypatch.setattr(T, "_forward", forward_spy)
     return calls
+
+
+def _backward_calls(blocks, depth, nparts):
+    """The _each calls of one stack's backward: per hidden layer, from the
+    last, its one part's gradients and then its input gradient in blocks;
+    then the first layer's parts."""
+    return [("parts", 1), blocks] * (depth - 1) + [("parts", nparts)]
 
 
 def _mlp_bits(layers, parts, nbr, relu_last):
@@ -480,12 +490,14 @@ def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in layers], step)
     assert _mlp_bits(layers, parts, nbr, relu_last) == want
-    # eager and taped forwards, and the backward's recompute of the hidden
-    # layers, each in a block of step rows and a ragged one; a per-row
-    # stack runs in one block (BLAS's summation order depends on a 2-D
-    # matmul's row count)
-    blocks = [N] if layout == "rows" else sorted([step, N - step])
-    assert calls == [blocks] * (2 + (depth > 1))
+    # the taped forward, the backward's recompute of the hidden layers, each
+    # hidden layer's input gradient and the eager forward, each in a block
+    # of step rows and a ragged one; a per-row stack runs in one block
+    # (BLAS's summation order depends on a 2-D matmul's row count)
+    blocks = ("rows", (N,) if layout == "rows" else
+              tuple(sorted([step, N - step])))
+    assert calls == ([blocks] * (1 + (depth > 1))
+                     + _backward_calls(blocks, depth, len(parts)) + [blocks])
 
 
 @pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
@@ -499,11 +511,13 @@ def test_attend_in_row_blocks_is_bit_identical_to_one_block(
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in u + v], step)
     assert _attend_bits(u, v, parts, nbr) == want
-    # the taped forward runs v and u per block, its backward recomputes v
-    # and then u, and the eager forward runs as the taped one
-    blocks = sorted([step, N - step])
-    both = sorted(blocks * 2)
-    assert calls == [both, blocks, blocks, both]
+    # the taped and eager forwards run v and u per block, and so does the
+    # backward's recompute with the softmax gradient; then u's and v's
+    # stack backwards are the two items of one call, each with its calls
+    blocks = ("rows", tuple(sorted([step, N - step])))
+    stack = _backward_calls(blocks, depth, len(parts))
+    assert sorted(calls) == sorted([blocks] * 3 + [("stacks", 2)]
+                                   + stack * 2)
 
 
 def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
@@ -528,40 +542,77 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
     assert len(T._blocks(T._stack("attend", [(T.const(w), T.const(b))
                                              for w, b in v],
                                   [p.shape for p in cv_parts], nbr))) == 16
-    threads, forward = set(), T._forward
+    # the thread idents that ran each spied function's calls
+    threads = {name: set() for name in
+               ("_forward", "_stack_backward", "_hidden_grad")}
 
-    def spy(*args):
-        threads.add(threading.get_ident())
-        return forward(*args)
+    def spy(name, fn):
+        def run(*args):
+            threads[name].add(threading.get_ident())
+            return fn(*args)
+        monkeypatch.setattr(T, name, run)
 
     def bits():
-        threads.clear()
+        for ran in threads.values():
+            ran.clear()
         return (_attend_bits(u, v, cv_parts, nbr),
                 _mlp_bits(sc, sc_parts, sc_nbr, True))
 
-    monkeypatch.setattr(T, "_forward", spy)
+    for name in threads:
+        spy(name, getattr(T, name))
     blocked = bits()
-    # the blocks ran on this thread and on the helper
-    assert len(threads) == 2 and threading.get_ident() in threads
-    # with the helper given no job, this thread runs every block
+    # forward blocks, u's and v's stack backwards and the hidden layers'
+    # input-gradient blocks each ran on this thread and on the helper
+    for ran in threads.values():
+        assert len(ran) == 2 and threading.get_ident() in ran
+    # so did the input-gradient blocks of set_conv's mlp, whose stack
+    # backward runs on this thread alone
+    threads["_hidden_grad"].clear()
+    assert _mlp_bits(sc, sc_parts, sc_nbr, True) == blocked[1]
+    assert len(threads["_hidden_grad"]) == 2
+    # with the helper given no job, this thread runs every item
     with monkeypatch.context() as m:
         m.setattr(T._HELPER, "submit", lambda job: None)
-        assert bits() == blocked and threads == {threading.get_ident()}
+        assert bits() == blocked
+        for ran in threads.values():
+            assert ran == {threading.get_ident()}
     monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
     assert bits() == blocked
 
 
-@pytest.mark.parametrize("raiser", ["caller", "helper"])
+@pytest.mark.parametrize("raiser", ["caller", "helper", "backward-caller",
+                                    "backward-helper"])
 def test_a_block_that_raises_fails_the_op_once_no_block_runs(monkeypatch,
                                                              raiser):
-    # each thread's first block waits for the other's; then one raises
-    # while the other's is still running, and mlp must raise only once that
-    # one is done, having started no further block
-    layers, parts, nbr = _stack_inputs("set_conv", 2, seed=4)
-    want = _mlp_bits(layers, parts, nbr, True)
-    _ragged_blocks(monkeypatch, "set_conv", [w.shape[1] for w, _ in layers],
-                   1)
-    caller, forward = threading.get_ident(), T._forward
+    # each thread's first item waits for the other's; then one raises while
+    # the other's is still running, and the op must raise only once that
+    # one is done, having started no further item.  The items are mlp's
+    # forward blocks, or attend's u and v stack backwards, whose failure
+    # fails the tape's backward
+    if raiser.startswith("backward-"):
+        u, v, parts, nbr = _attend_inputs("cost_volume", 2, seed=5)
+        spied = "_stack_backward"
+
+        def bits():
+            return _attend_bits(u, v, parts, nbr)
+
+        def op():
+            _run_attend(T.attend, u, v, parts, nbr)
+    else:
+        layers, parts, nbr = _stack_inputs("set_conv", 2, seed=4)
+        spied = "_forward"
+
+        def bits():
+            return _mlp_bits(layers, parts, nbr, True)
+
+        def op():
+            T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+                  *[T.const(a) for a in parts], nbr=nbr)
+
+        _ragged_blocks(monkeypatch, "set_conv",
+                       [w.shape[1] for w, _ in layers], 1)
+    want = bits()
+    caller, fn = threading.get_ident(), getattr(T, spied)
     met, lock = threading.Barrier(2, timeout=30), threading.Lock()
     started, running = [], [0]
 
@@ -571,20 +622,19 @@ def test_a_block_that_raises_fails_the_op_once_no_block_runs(monkeypatch,
             running[0] += 1
         try:
             met.wait()
-            if (threading.get_ident() == caller) == (raiser == "caller"):
-                raise RuntimeError("block failed")
+            if (threading.get_ident() == caller) == raiser.endswith("caller"):
+                raise RuntimeError("item failed")
             time.sleep(0.2)
-            return forward(*args)
+            return fn(*args)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(T, "_forward", spy)
-    with pytest.raises(RuntimeError, match="block failed"):
-        T.mlp([(T.const(w), T.const(b)) for w, b in layers],
-              *[T.const(a) for a in parts], nbr=nbr)
+    monkeypatch.setattr(T, spied, spy)
+    with pytest.raises(RuntimeError, match="item failed"):
+        op()
     assert running == [0] and len(started) == 2 and caller in started
     # the helper outlives the failure and serves the next op
-    monkeypatch.setattr(T, "_forward", forward)
-    assert _mlp_bits(layers, parts, nbr, True) == want
+    monkeypatch.setattr(T, spied, fn)
+    assert bits() == want
     assert "lidom-helper" in [t.name for t in threading.enumerate()]

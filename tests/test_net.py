@@ -524,6 +524,7 @@ def test_the_sampler_exits_with_its_process_and_survives_a_kill(tmp_path):
 
 FORK_SCRIPT = """
 import os
+import select
 import signal
 import sys
 import threading
@@ -545,6 +546,8 @@ net = N.OdometryNet(N.desk_config())
 first = poses(net)
 assert threading.active_count() == 2 and T._HELPER._owner == os.getpid()
 print(N._SAMPLER._proc.pid, flush=True)
+ready_r, ready_w = os.pipe()     # the child's sampler pid, once it forwarded
+done_r, done_w = os.pipe()       # EOF once the parent has closed its sampler
 with warnings.catch_warnings():  # forking with a thread running is the test
     warnings.simplefilter("ignore", DeprecationWarning)
     pid = os.fork()
@@ -553,21 +556,43 @@ if pid == 0:
     # must start its own, as its first forward starts its own sampler
     ok = False
     try:
+        os.close(ready_r)
+        os.close(done_w)
         ok = (poses(net) == first and threading.active_count() == 2
               and T._HELPER._owner == N._SAMPLER._owner == os.getpid())
-        os.write(1, b"%d\\n" % N._SAMPLER._proc.pid)
+        os.write(ready_w, b"%d\\n" % N._SAMPLER._proc.pid)
+        os.read(done_r, 1)
         N._SAMPLER.close()
     finally:
         os._exit(0 if ok else 1)
+os.close(ready_w)
+os.close(done_r)
+
+def fail(why):
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    sys.exit(why)
+
+if not select.select([ready_r], [], [], 60)[0]:
+    fail("the forked child's forward did not finish")
+line = os.read(ready_r, 64)
+if line:
+    print(line.decode().strip(), flush=True)
+    # the living child holds no copy of the sampler's stdin, so the sampler
+    # sees EOF at once and close() need not wait for its kill
+    start = time.monotonic()
+    N._SAMPLER.close()
+    took = time.monotonic() - start
+    if took > N._EXIT_TIMEOUT_S / 4:
+        fail(f"closing the sampler took {{took:.2f}} s beside a forked child")
+os.close(done_w)
 deadline = time.monotonic() + 60
 while True:
     done, status = os.waitpid(pid, os.WNOHANG)
     if done:
         break
     if time.monotonic() > deadline:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        sys.exit("the forked child's forward did not finish")
+        fail("the forked child did not exit")
     time.sleep(0.05)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
@@ -577,10 +602,10 @@ def test_a_forked_child_starts_its_own_helper_thread(tmp_path):
     src = Path(lidom.net.__file__).resolve().parents[1]
     script = tmp_path / "fork.py"
     script.write_text(textwrap.dedent(FORK_SCRIPT.format(src=str(src))))
-    # default warning filters: the child drops its copy of the parent's
-    # sampler handle, whose Popen warns (ResourceWarning) that the parent's
-    # sampler, which is not the child's to reap, still runs
-    run = subprocess.run([sys.executable, str(script)],
+    # the child lets go of its copy of the parent's sampler handle with no
+    # ResourceWarning: it closes its copies of the pipes and reaps nothing
+    run = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                          str(script)],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0 and run.stderr == "", run.stderr
     pids = [int(line) for line in run.stdout.split()]
