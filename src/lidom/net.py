@@ -41,9 +41,10 @@ the helper too: attend's recompute and softmax gradient run per block and
 its two stack backwards as two items, and each layer's parts and each
 hidden layer's input-gradient blocks are items, each written only by the
 code one thread would run, so the gradients keep their bits as well.
-Like the sampler, the helper is one per process, the first forward that
-needs it starts it, and a forked child starts its own; the child closes
-its copies of the parent's sampler pipes when it starts its sampler.
+Like the sampler, the helper is one per process, and the first forward
+that needs it starts it.  At a fork, os.register_at_fork hooks drop both
+in the child, which closes its copies of the sampler pipes at once, so
+that the parent's exit never waits on it, and starts its own.
 """
 from __future__ import annotations
 
@@ -338,7 +339,6 @@ class _Sampler:
     def __init__(self) -> None:
         self._lock = threading.Lock()  # one request in flight
         self._proc = None              # subprocess.Popen once started
-        self._owner = 0                # pid of the process that started it
 
     @contextmanager
     def tables(self, points: np.ndarray, sizes: list[int], k: int):
@@ -375,8 +375,7 @@ class _Sampler:
 
     def _send(self, request) -> bool:
         import pickle
-        if self._owner != os.getpid():  # none started, or a fork's parent's
-            self._forget()
+        if self._proc is None:
             self._start()
         if self._proc is None:
             return False
@@ -405,16 +404,16 @@ class _Sampler:
             self._proc = subprocess.Popen([sys.executable, "-c", code],
                                           stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE)
-            self._owner = os.getpid()
         except OSError:
             self._proc = None
 
     def _forget(self) -> None:
-        """Drop a forked child's copy of its parent's sampler handle.  The
-        child closes its copies of both pipes, so that the sampler sees EOF
-        once the parent closes its own, and does not wait: the sampler is
-        not the child's to reap.  poll()'s waitpid fails with ECHILD, which
-        Popen takes as an exit, so the handle goes without a warning."""
+        """Drop a forked child's copy of its parent's sampler handle (an
+        at-fork hook).  The child closes its copies of both pipes, so that
+        the sampler sees EOF once the parent closes its own, and does not
+        wait: the sampler is not the child's to reap.  poll()'s waitpid
+        fails with ECHILD, which Popen takes as an exit, so the handle goes
+        without a warning."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -426,7 +425,7 @@ class _Sampler:
     def _stop(self, kill: bool) -> None:
         """Close the child's pipes and reap it: kill it first if asked, or
         if it has not exited within _EXIT_TIMEOUT_S of its stdin closing."""
-        proc, self._proc, self._owner = self._proc, None, 0
+        proc, self._proc = self._proc, None
         if proc is None:
             return
         import subprocess
@@ -442,12 +441,12 @@ class _Sampler:
         proc.stdout.close()
 
     def close(self) -> None:
-        if self._owner == os.getpid():
-            self._stop(kill=False)
+        self._stop(kill=False)
 
 
 _SAMPLER = _Sampler()
 atexit.register(_SAMPLER.close)
+os.register_at_fork(after_in_child=_SAMPLER._forget)
 
 
 def _sampler_main() -> None:

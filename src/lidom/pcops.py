@@ -13,9 +13,9 @@ returns the pick's k nearest points with it, by the same selection:
 set_conv takes that table and the pyramid runs no KNN of its own.  Both
 reject clouds that are not (n, 3) or not finite, and FPS rejects a cloud
 with fewer distinct points than it must pick.  knn_indices runs its chunks
-of queries on two threads (tensor._each: the caller and one helper), each
-thread with its own work buffers; a chunk writes only its own rows of the
-table, by the same code, so the table has the bits of one thread's.
+of queries on two threads that pop them off one list (tensor._each), each
+with its own work buffers; a chunk writes only its own rows of the table,
+by the same code, so the table has the bits of one thread's.
 
 sample_pyramid runs FPS level after level and returns every level's
 (centers, nbr) for one cloud.  No parameter reaches those tables, so they

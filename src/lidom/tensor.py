@@ -8,8 +8,9 @@ gradients; the tape has no grad().  Ops called with no active tape run
 eagerly and return constant tensors, so inference runs the same code as
 training and records nothing.  Eager ops also compute only their
 output: state that only backward reads (reduce_max's argmax, mlp's relu
-mask) is built while a tape records and never otherwise.  One tape records
-at a time: entering a tape while another records raises TensorError.
+mask) is built while a tape records and never otherwise.  A tape records
+only its own thread's ops: the recording tape is per thread, and entering
+a tape while another records on the same thread raises TensorError.
 
 A tape holds only what its backward reads (op closures keep arrays and
 shapes, never a Tensor; it keeps no gradient) and parameters never point
@@ -28,14 +29,16 @@ all rows.  A per-row stack's layer is one 2-D matmul, whose BLAS
 summation order depends on the row count, so it runs in one pass.
 
 The blocks of one op run on two threads, the caller's and the process's
-one helper thread (_each): each thread claims the next block and runs it
-by the same code into that block's own output rows, and no block touches a
-tape, so which thread runs a block changes no bit, and the op records its
-node on the caller's thread once every block is done.  numpy's loops and
-BLAS release the interpreter lock, so the two threads' blocks overlap on
-two cores.  pcops.knn_indices runs its query chunks the same way.  The
-helper starts with the first call that has two blocks, never at import;
-a forked child starts its own.
+one helper thread, the worker of a one-thread ThreadPoolExecutor (_each):
+both pop blocks off one list and run each by the same code into its own
+output rows.  No block touches a tape, so which thread runs a block
+changes no bit, and the op records its node on the caller's thread once
+every block is done.  numpy's loops and BLAS release the interpreter
+lock, so the two threads' blocks overlap on two cores.  pcops.knn_indices
+runs its query chunks the same way.  The first call with two blocks
+imports concurrent.futures and starts the helper; a forked child drops
+the executor at the fork (os.register_at_fork) and starts its own; once
+the interpreter is shutting down, the caller runs every block.
 
 Backward shares the helper by the same rule.  attend recomputes both
 stacks and the softmax gradient per block, and then its u and v stack
@@ -113,13 +116,17 @@ class _Node:
         self.shape = shape
 
 
-_ACTIVE: Tape | None = None   # the one tape recording, if any
+class _Recording(threading.local):
+    tape: Tape | None = None   # the tape recording on this thread, if any
+
+
+_ACTIVE = _Recording()
 
 
 class Tape:
-    """Ordered record of the ops a parameter reaches.  Enter to record,
-    backward() later; entering one while another tape records raises
-    TensorError.
+    """Ordered record of the ops a parameter reaches on one thread.  Enter
+    to record, backward() later; entering one while another tape records on
+    the same thread raises TensorError.
 
     Leaving the context stops recording but keeps the node structure, so
     backward() works after exit.  Parameters are the leaves, keyed by name on
@@ -133,17 +140,16 @@ class Tape:
         self._param_leaves: dict[str, tuple[Parameter, int]] = {}
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE
-        if _ACTIVE is not None:
-            raise TensorError("another tape is recording; tapes do not nest")
+        if _ACTIVE.tape is not None:
+            raise TensorError("another tape is recording on this thread; "
+                              "tapes do not nest")
         if self.nodes:
             raise TensorError("tape already used; tapes are single-shot")
-        _ACTIVE = self
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE
-        _ACTIVE = None
+        _ACTIVE.tape = None
 
     def _reaches(self, t: Tensor) -> bool:
         """Whether a parameter reaches t: t is a Parameter or an output this
@@ -228,15 +234,15 @@ class Tape:
 def _make(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
-    if _ACTIVE is not None:
-        _ACTIVE._record(kind, inputs, out, backward_fn)
+    if _ACTIVE.tape is not None:
+        _ACTIVE.tape._record(kind, inputs, out, backward_fn)
     return out
 
 
 def _reached(t: Tensor) -> bool:
     """Whether a parameter reaches t on the recording tape, so that an op's
     backward needs t's gradient."""
-    return _ACTIVE is not None and _ACTIVE._reaches(t)
+    return _ACTIVE.tape is not None and _ACTIVE.tape._reaches(t)
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, out: np.ndarray,
@@ -361,76 +367,62 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _BLOCK_ELEMS = 1 << 16
 
 
-class _Job:
-    """One _each call's items, claimed one at a time under cond by the
-    calling thread and the helper."""
-
-    def __init__(self, fn: Callable, items: Sequence) -> None:
-        self.fn, self.items = fn, items
-        self.next = 0      # the next item to claim
-        self.busy = 0      # items claimed and not yet finished
-        self.error: BaseException | None = None
-        self.cond = threading.Condition(threading.Lock())
-
-    def run(self) -> None:
-        """Claim and run items until none is left or one has raised."""
-        cond = self.cond
-        while True:
-            with cond:
-                if self.error is not None or self.next >= len(self.items):
-                    return
-                item = self.items[self.next]
-                self.next += 1
-                self.busy += 1
-            error = None
-            try:
-                self.fn(item)
-            except BaseException as e:  # raised again by the calling thread
-                error = e
-            with cond:
-                self.busy -= 1
-                if self.error is None:
-                    self.error = error
-                cond.notify_all()
+_POOL = None                  # the helper thread's ThreadPoolExecutor
+_POOL_LOCK = threading.Lock()  # one thread makes it
 
 
-class _Helper:
-    """The process's one helper thread, which runs the _Job objects put on
-    its queue.  The first _each call with two or more items starts it, never
-    the import; a forked child, which has no copy of the thread, starts its
-    own (the owner pid differs)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()   # one thread starts the helper
-        self._jobs = None               # the thread's queue.SimpleQueue
-        self._owner = 0                 # pid of the process that started it
-
-    def submit(self, job: _Job) -> None:
-        with self._lock:
-            if self._owner != os.getpid():
-                import queue
-                self._jobs = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(self._jobs,),
-                                 name="lidom-helper", daemon=True).start()
-                self._owner = os.getpid()
-            self._jobs.put(job)
+def _forget_pool() -> None:
+    """In a forked child, which has no helper thread, drop the executor and
+    replace the lock that another thread may have held at the fork."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
 
 
-def _serve(jobs) -> None:
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(job: list):
+    """The helper's future for _drain(job), the helper made on first use;
+    None once the interpreter is shutting down and takes no new job."""
+    global _POOL
+    try:
+        with _POOL_LOCK:
+            if _POOL is None:
+                from concurrent.futures import ThreadPoolExecutor
+                _POOL = ThreadPoolExecutor(max_workers=1,
+                                           thread_name_prefix="lidom-helper")
+        return _POOL.submit(_drain, job)
+    except RuntimeError:  # shutting down: no new thread, no new job
+        return None
+
+
+def _drain(job: list) -> None:
+    """Run fn on the items of job = [fn, items in reverse], popping the
+    next until none is left.  An exception empties the list, so that the
+    other thread claims no more."""
+    fn, todo = job
     while True:
-        jobs.get().run()
-
-
-_HELPER = _Helper()
+        try:
+            item = todo.pop()
+        except IndexError:
+            return
+        try:
+            fn(item)
+        except BaseException:
+            todo.clear()
+            raise
 
 
 def _each(fn: Callable, items: Sequence) -> None:
-    """fn(item) for every item, on this thread and on the helper thread:
-    each claims the next unclaimed item.  This thread waits only for items
-    the helper has claimed, so a helper that is busy with another call (a
-    nested one, or another thread's) or not yet running never stalls it,
-    and no call can deadlock.  The first exception stops further claims and
-    is raised here once the other thread has finished its current item.
+    """fn(item) for every item, on this thread and on the helper thread,
+    which pop the items off one list.  The call puts one job on the
+    helper's queue and waits for it only if the helper has started it (its
+    future cannot be cancelled), so a helper that is busy with another call
+    (a nested one, or another thread's) or not yet running never stalls
+    it, and no call can deadlock.  An exception stops further claims and is
+    raised here once the other thread has finished its current item (this
+    thread's, if both raise).  Once the interpreter is shutting down, this
+    thread runs every item.
 
     The items must write disjoint outputs and touch no tape: a caller
     records its node after the call, on its own thread."""
@@ -438,13 +430,16 @@ def _each(fn: Callable, items: Sequence) -> None:
         for item in items:
             fn(item)
         return
-    job = _Job(fn, items)
-    _HELPER.submit(job)
-    job.run()
-    with job.cond:
-        job.cond.wait_for(lambda: job.busy == 0)
-        # a job the helper has not reached yet holds on to nothing
-        error, job.error, job.fn, job.items = job.error, None, None, ()
+    job = [fn, list(reversed(items))]
+    helper = _submit(job)
+    try:
+        _drain(job)
+    finally:
+        started = helper is not None and not helper.cancel()
+        error = helper.exception() if started else None
+        # a cancelled job stays queued until the helper gets to it, and
+        # must not keep fn's arrays alive until then
+        job.clear()
     if error is not None:
         raise error
 
@@ -721,7 +716,7 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     stack = _stack("mlp", layers, [d.shape for d in datas], nbr)
     outs = [None] * (len(layers) - 1) + [np.empty(stack[2][-1][3])]
     out = _fill(stack, datas, outs, relu_last)[-1]
-    if _ACTIVE is None:
+    if _ACTIVE.tape is None:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None
     inputs = (*(t for layer in layers for t in layer), *parts)
@@ -787,7 +782,7 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
         val.sum(axis=1, out=out[rows])
 
     _each(block, _blocks(v, u))
-    if _ACTIVE is None:
+    if _ACTIVE.tape is None:
         return Tensor(out)
     inputs = (*(t for layer in u_layers for t in layer), *parts,
               *(t for layer in v_layers for t in layer), *parts)
@@ -864,7 +859,7 @@ def reduce_sum(a: Tensor, axis: int | None = None,
 def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; gradient flows to the first (lowest-index) argmax."""
     out = a.data.max(axis=axis)
-    if _ACTIVE is None:
+    if _ACTIVE.tape is None:
         return Tensor(out)
     shape = a.data.shape
     # first index on ties, in the narrowest type that holds it (uint8 for a

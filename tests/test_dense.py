@@ -13,8 +13,10 @@ compares with the sign of zero cleared.  The oracle for a stack,
 with mlp.  The oracle for attend, `attend_chain`, is mlp for u and v, then
 softmax_axis, mul and reduce_sum.
 """
+import concurrent.futures
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -520,6 +522,14 @@ def test_attend_in_row_blocks_is_bit_identical_to_one_block(
                                    + stack * 2)
 
 
+class _IdlePool:
+    """An executor whose jobs never start: each future stays pending until
+    its caller cancels it."""
+
+    def submit(self, fn, *args):
+        return concurrent.futures.Future()
+
+
 def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
         monkeypatch):
     # full_config's shapes: the finest refinement's cost-volume stage (2048
@@ -570,9 +580,9 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
     threads["_hidden_grad"].clear()
     assert _mlp_bits(sc, sc_parts, sc_nbr, True) == blocked[1]
     assert len(threads["_hidden_grad"]) == 2
-    # with the helper given no job, this thread runs every item
+    # with a helper whose jobs never start, this thread runs every item
     with monkeypatch.context() as m:
-        m.setattr(T._HELPER, "submit", lambda job: None)
+        m.setattr(T, "_POOL", _IdlePool())
         assert bits() == blocked
         for ran in threads.values():
             assert ran == {threading.get_ident()}
@@ -637,4 +647,42 @@ def test_a_block_that_raises_fails_the_op_once_no_block_runs(monkeypatch,
     # the helper outlives the failure and serves the next op
     monkeypatch.setattr(T, spied, fn)
     assert bits() == want
-    assert "lidom-helper" in [t.name for t in threading.enumerate()]
+    assert any(t.name.startswith("lidom-helper")
+               for t in threading.enumerate())
+
+
+def test_a_busy_helper_never_stalls_a_call_nor_keeps_its_fn():
+    # another thread's call holds the helper in one of its items; a call
+    # made meanwhile runs every item on its own thread and returns without
+    # waiting, and its job, left on the helper's queue, keeps nothing alive
+    helper_in, release, helper_done = (threading.Event(), threading.Event(),
+                                       [])
+
+    def hold(item):
+        if threading.current_thread().name.startswith("lidom-helper"):
+            helper_in.set()
+            release.wait(timeout=30)
+            helper_done.append(item)
+        else:
+            helper_in.wait(timeout=30)
+
+    holder = threading.Thread(target=T._each, args=(hold, [0, 1]))
+    holder.start()
+    try:
+        assert helper_in.wait(timeout=30)
+        ran = []
+        fn = lambda item: ran.append((item, threading.get_ident()))
+        fn_ref = weakref.ref(fn)
+        T._each(fn, range(8))
+        assert helper_done == []
+        assert sorted(ran) == [(i, threading.get_ident()) for i in range(8)]
+        del fn
+        assert fn_ref() is None and helper_done == []
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive() and helper_done == [1]
+    # the released helper serves the next call: each item waits for the
+    # other, on the other thread
+    met = threading.Barrier(2, timeout=30)
+    T._each(lambda item: met.wait(), range(2))

@@ -313,6 +313,54 @@ def test_a_dropped_tape_is_freed_without_the_cycle_collector():
         assert g.tobytes() == first[name].tobytes(), name
 
 
+@pytest.mark.parametrize("other", ["eager", "taped"])
+def test_a_tape_records_only_its_own_thread(other):
+    # a second thread forwards, eagerly or under its own tape, while this
+    # thread's tape records: each tape gets only its own thread's ops, and
+    # both steps keep the node counts and bits they have when run alone
+    net = OdometryNet(desk_config())
+    pc1, pc2 = _scans()
+    scans2 = _scans(seed=1)
+    tape, _, _, grads = _train_step(net, pc1, pc2)
+    tape2, out2, _, grads2 = _train_step(net, *scans2)
+    nodes, nodes2, poses2 = len(tape.nodes), len(tape2.nodes), _poses(out2)
+    got, errors = [], []
+
+    def run():
+        try:
+            got.append(_train_step(net, *scans2) if other == "taped"
+                       else (None, net.forward(*scans2), None, None))
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with T.Tape() as tape:
+            thread = threading.Thread(target=run)
+            thread.start()
+            loss = _pose_loss(net.forward(pc1, pc2))
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and errors == []
+    (tape2, out2, _, now2), = got
+    assert len(tape.nodes) == nodes
+    assert _poses(out2).tobytes() == poses2.tobytes()
+    if other == "eager":
+        assert all(t.tape is None for lv in out2.levels
+                   for t in (lv.q, lv.t, lv.embedding, lv.mask))
+    else:
+        assert len(tape2.nodes) == nodes2
+        assert all(t.tape is tape2 for lv in out2.levels for t in (lv.q, lv.t))
+        for name, g in grads2.items():
+            assert g.tobytes() == now2[name].tobytes(), name
+    now = tape.backward(loss, net.store)
+    assert now.keys() == grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == now[name].tobytes(), name
+
+
 def _spare_gradients(tape):
     """Wrap every node's backward_fn so that it collects (kind, array) for
     each array it returns for a constant (None) parent; returns that
@@ -348,7 +396,7 @@ def test_backward_computes_no_gradient_for_a_constant_input(monkeypatch):
     # as if a parameter reached every input: each op also differentiates its
     # constant inputs (edge offsets, cloud coordinates, constant maps), the
     # tape drops those arrays, and the parameters' gradients keep their bits
-    monkeypatch.setattr(T, "_reached", lambda t: T._ACTIVE is not None)
+    monkeypatch.setattr(T, "_reached", lambda t: T._ACTIVE.tape is not None)
     every, spare = step()
     assert {"mlp", "attend", "sub", "matmul"} <= {
         kind for kind, _ in spare}
@@ -544,8 +592,9 @@ def poses(net):
 T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
 net = N.OdometryNet(N.desk_config())
 first = poses(net)
-assert threading.active_count() == 2 and T._HELPER._owner == os.getpid()
-print(N._SAMPLER._proc.pid, flush=True)
+assert threading.active_count() == 2
+parent_sampler = N._SAMPLER._proc.pid
+print(parent_sampler, flush=True)
 ready_r, ready_w = os.pipe()     # the child's sampler pid, once it forwarded
 done_r, done_w = os.pipe()       # EOF once the parent has closed its sampler
 with warnings.catch_warnings():  # forking with a thread running is the test
@@ -559,7 +608,7 @@ if pid == 0:
         os.close(ready_r)
         os.close(done_w)
         ok = (poses(net) == first and threading.active_count() == 2
-              and T._HELPER._owner == N._SAMPLER._owner == os.getpid())
+              and N._SAMPLER._proc.pid != parent_sampler)
         os.write(ready_w, b"%d\\n" % N._SAMPLER._proc.pid)
         os.read(done_r, 1)
         N._SAMPLER.close()
@@ -613,3 +662,97 @@ def test_a_forked_child_starts_its_own_helper_thread(tmp_path):
     for pid in pids:   # the parent's and the child's samplers
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+NO_FORWARD_FORK_SCRIPT = """
+import os
+import sys
+import time
+import warnings
+import numpy as np
+sys.path.insert(0, {src!r})
+import lidom.net as N
+
+rng = np.random.default_rng(0)
+N.OdometryNet(N.desk_config()).forward(rng.normal(size=(600, 3)),
+                                       rng.normal(size=(600, 3)))
+print(N._SAMPLER._proc.pid, flush=True)
+done_r, done_w = os.pipe()       # EOF once the parent has closed its sampler
+with warnings.catch_warnings():  # forking with the helper thread running
+    warnings.simplefilter("ignore", DeprecationWarning)
+    pid = os.fork()
+if pid == 0:
+    # the child never forwards: it sleeps until the parent is done
+    os.close(done_w)
+    os.read(done_r, 1)
+    os._exit(0)
+os.close(done_r)
+start = time.monotonic()
+N._SAMPLER.close()
+print(time.monotonic() - start, flush=True)
+os.close(done_w)
+os.waitpid(pid, 0)
+"""
+
+
+def test_a_forked_child_that_never_forwards_does_not_delay_close(tmp_path):
+    # the child lets go of its copies of the sampler pipes at the fork, so
+    # the sampler sees EOF as soon as the parent closes its own
+    src = Path(lidom.net.__file__).resolve().parents[1]
+    script = tmp_path / "fork_idle.py"
+    script.write_text(textwrap.dedent(
+        NO_FORWARD_FORK_SCRIPT.format(src=str(src))))
+    run = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                          str(script)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    pid, took = run.stdout.split()
+    assert float(took) < lidom.net._EXIT_TIMEOUT_S / 4
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
+
+
+SHUTDOWN_SCRIPT = """
+import sys
+import threading
+import numpy as np
+sys.path.insert(0, {src!r})
+import lidom.net as N
+import lidom.tensor as T
+
+def poses(net):
+    rng = np.random.default_rng(0)
+    out = net.forward(rng.normal(size=(600, 3)), rng.normal(size=(600, 3)))
+    return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
+                    for lv in out.levels)
+
+def late():
+    threading.main_thread().join()   # the interpreter is shutting down
+    print(poses(net).hex(), flush=True)
+
+T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
+net = N.OdometryNet(N.desk_config())
+if {warm}:                       # start the helper before shutdown
+    print(poses(net).hex(), flush=True)
+threading.Thread(target=late).start()
+"""
+
+
+@pytest.mark.parametrize("warm", [True, False],
+                         ids=["helper-started", "helper-never-started"])
+def test_a_thread_forwards_after_the_main_thread_returned(tmp_path, warm):
+    # once shutdown begins no helper takes a job, so the forward runs every
+    # split op on its own thread, with the same poses
+    src = Path(lidom.net.__file__).resolve().parents[1]
+    script = tmp_path / "late.py"
+    script.write_text(textwrap.dedent(
+        SHUTDOWN_SCRIPT.format(src=str(src), warm=warm)))
+    run = subprocess.run([sys.executable, "-W", "error", str(script)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    rng = np.random.default_rng(0)
+    out = OdometryNet(desk_config()).forward(rng.normal(size=(600, 3)),
+                                             rng.normal(size=(600, 3)))
+    want = b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
+                    for lv in out.levels).hex()
+    assert run.stdout.split() == [want] * (2 if warm else 1)
