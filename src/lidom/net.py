@@ -37,10 +37,10 @@ volumes, the set_upconvs) and every KNN call splits its rows into blocks
 that this thread and one helper thread claim in turn (tensor._each).  A
 block writes only its own rows, by the same code, so poses, tapes and
 gradients keep the bits of one thread.  A taped pair's backward shares
-the helper too: attend's recompute and softmax gradient run per block and
-its two stack backwards as two items, and each layer's parts and each
-hidden layer's input-gradient blocks are items, each written only by the
-code one thread would run, so the gradients keep their bits as well.
+the helper in attend: its recompute and softmax gradient run per block
+and its two stack backwards as two items, each written only by the code
+one thread would run, so the gradients keep their bits as well; every
+other stack's backward runs on one thread.
 Like the sampler, the helper is one per process, and the first forward
 that needs it starts it.  At a fork, os.register_at_fork hooks drop both
 in the child, which closes its copies of the sampler pipes at once, so

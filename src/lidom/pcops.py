@@ -56,11 +56,6 @@ __all__ = [
     "sample_pyramid", "set_conv", "set_upconv",
 ]
 
-# Queries per KNN chunk: rows * n_ref elements, so that each (rows, n_ref)
-# float64 work buffer is about 512 KiB and stays in a core's cache.
-_KNN_CHUNK_ELEMS = 1 << 16
-
-
 class PcopsError(ValueError):
     """Invalid sample sizes, neighbor counts, or cloud shapes."""
 
@@ -140,7 +135,7 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
         raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
     _check_k(k, n)
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
-    chunk = max(1, min(m, _KNN_CHUNK_ELEMS // n))
+    chunk = max(1, min(m, T._BLOCK_ELEMS // n))
     rows_buf, kth_buf = np.empty((chunk, n)), np.empty((chunk, n))
     within_buf = np.empty((chunk, n), dtype=bool)
     d2, tmp = np.empty(n), np.empty(n)
@@ -195,7 +190,7 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     n = ref.shape[0]
     _check_k(k, n)
     ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
-    chunk = max(1, min(query.shape[0], _KNN_CHUNK_ELEMS // n))
+    chunk = max(1, min(query.shape[0], T._BLOCK_ELEMS // n))
     out = np.empty((query.shape[0], k), dtype=np.int64)
     bufs = {}   # each thread's (d2, tmp, within) chunk buffers
 
@@ -307,13 +302,12 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     features projected once per input point and gathered, center features
     projected once per center.  Returns (center coords, features).
     """
-    centers = np.asarray(center_idx, dtype=np.int64)
-    out_coords = T.gather_rows(coords, centers)
-    m = centers.shape[0]
+    out_coords = T.gather_rows(coords, center_idx)
+    m = out_coords.shape[0]
     parts = [T.sub(T.gather_rows(coords, nbr),
                    T.reshape(out_coords, (m, 1, 3)))]
     if feats is not None:
-        ctr_f = T.gather_rows(feats, centers)
+        ctr_f = T.gather_rows(feats, center_idx)
         parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
     pooled = T.reduce_max(mlp(*parts, nbr=nbr), axis=1)
     return out_coords, pooled

@@ -40,14 +40,12 @@ imports concurrent.futures and starts the helper; a forked child drops
 the executor at the fork (os.register_at_fork) and starts its own; once
 the interpreter is shutting down, the caller runs every block.
 
-Backward shares the helper by the same rule.  attend recomputes both
-stacks and the softmax gradient per block, and then its u and v stack
-backwards are two items; in a stack backward each hidden layer's input
-gradient runs per block, and each layer's parts are items that write
-their own rows of the weight gradient and their own part gradients.  An
-item computes its arrays by the code one thread would run and touches
-no tape, and Tape.backward adds the node's gradients on its own thread,
-in parent order, so every gradient keeps its bits.
+In backward only attend shares the helper, by the same rule: it
+recomputes both stacks and the softmax gradient per block, and then its
+u and v stack backwards are two items.  A stack's own backward runs on
+one thread.  An item computes its arrays by the code one thread would run
+and touches no tape, and Tape.backward adds the node's gradients on its
+own thread, in parent order, so every gradient keeps its bits.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
@@ -276,6 +274,15 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         ) from None
 
 
+def _indices(op: str, indices) -> np.ndarray:
+    """indices as an int64 array; TensorError unless their dtype is integer
+    (an empty list, whose numpy dtype is float, holds no index)."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TensorError(f"{op}: indices must be integers, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _check_rows(op: str, idx: np.ndarray, n: int) -> None:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise TensorError(f"{op}: index out of range for first dimension {n}")
@@ -363,7 +370,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Output rows per block of an mlp or attend stack: rows times the elements
 # per row of the stack's widest layer output is at most this, so that one
 # per-edge (rows, k, c) float64 array is about 512 KiB and a block's layers
-# stay in a core's cache.
+# stay in a core's cache.  pcops' FPS and KNN size their (rows, n_ref)
+# distance chunks by it for the same reason.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -417,12 +425,13 @@ def _each(fn: Callable, items: Sequence) -> None:
     """fn(item) for every item, on this thread and on the helper thread,
     which pop the items off one list.  The call puts one job on the
     helper's queue and waits for it only if the helper has started it (its
-    future cannot be cancelled), so a helper that is busy with another call
-    (a nested one, or another thread's) or not yet running never stalls
-    it, and no call can deadlock.  An exception stops further claims and is
-    raised here once the other thread has finished its current item (this
-    thread's, if both raise).  Once the interpreter is shutting down, this
-    thread runs every item.
+    future cannot be cancelled), so a helper that is busy with another
+    thread's call or not yet running never stalls it, and no call can
+    deadlock.  No item in lidom makes a call of its own; the rule protects
+    callers on separate threads, which share the one helper.  An exception
+    stops further claims and is raised here once the other thread has
+    finished its current item (this thread's, if both raise).  Once the
+    interpreter is shutting down, this thread runs every item.
 
     The items must write disjoint outputs and touch no tape: a caller
     records its node after the call, on its own thread."""
@@ -514,21 +523,16 @@ def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
                     plan: tuple, need: Sequence[bool]) -> tuple:
     """(weight grad, bias grad, part grads) of one layer, from the gradient
     g of its output with any relu mask already applied.  A part's gradient
-    is None unless need says a parameter reaches it.
-
-    The parts are _each items, on this thread and the helper: each one
-    unbroadcasts g to its rows (scatter-adding a gathered part's), and
-    writes only its own rows of the weight gradient and its own part
-    gradient, by the code one thread would run, so the bits hold."""
+    is None unless need says a parameter reaches it.  Each part unbroadcasts
+    g to its rows (scatter-adding a gathered part's) and writes its own rows
+    of the weight gradient."""
     bounds, gathered, shapes, _, bias_at, nbr = plan
     c = wd.shape[1]
     gw = np.empty(wd.shape)
     gb = _unbroadcast(g, (c,)) if bias_at is None else None
     gparts = [None] * len(datas)
-
-    def part(j):
-        nonlocal gb
-        pd, lo, hi = datas[j], bounds[j], bounds[j + 1]
+    for j, pd in enumerate(datas):
+        lo, hi = bounds[j], bounds[j + 1]
         gj = _unbroadcast(g, shapes[j])
         if gathered[j]:
             gj = _scatter_rows(nbr, gj, pd.shape[0])
@@ -537,8 +541,6 @@ def _layer_backward(g: np.ndarray, wd: np.ndarray, datas: list[np.ndarray],
         gw[lo:hi] = pd.reshape(-1, hi - lo).T @ gj.reshape(-1, c)
         if need[j]:
             gparts[j] = np.matmul(gj, wd[lo:hi].T)
-
-    _each(part, range(len(datas)))
     return gw, gb, gparts
 
 
@@ -628,16 +630,6 @@ def _hidden(stack: tuple, datas: list) -> list[list]:
     return [datas, *([h] for h in hidden)]
 
 
-def _hidden_grad(g: np.ndarray, wt: np.ndarray, h: np.ndarray,
-                 rows: slice) -> None:
-    """The gradient of a hidden layer's output h over the rows `rows`, into
-    h's own buffer: g's rows @ wt (the next layer's weight, transposed),
-    masked by h's relu, which is read first."""
-    live = h[rows] > 0.0
-    np.matmul(g[rows], wt, out=h[rows])
-    h[rows] *= live
-
-
 def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
                     need: Sequence[bool]) -> tuple[list, list]:
     """Backpropagate through a stack from the gradient g of its output, the
@@ -646,22 +638,20 @@ def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
     b0, w1, b1, ..., then the parts) a parameter reaches.  Returns ([w0, b0,
     w1, b1, ...] grads, part grads), None where need is False.
 
-    A hidden layer computes its weight and bias gradients from its input h
-    first; then its input gradient, masked by h's relu, takes h's buffer
-    over the stack's row blocks, on this thread and the helper (_each,
-    _hidden_grad).  A per-edge block is a matmul per centre row, as one
-    pass over all rows is, and a per-row stack is one block (_blocks), so
-    the bits hold."""
+    It runs on one thread: mlp's on the caller's, attend's two as the two
+    items of one _each call.  A hidden layer computes its weight and bias
+    gradients from its input h first; then its input gradient, masked by
+    h's relu, which is read first, takes h's buffer."""
     ws, _, plans = stack
     depth = len(ws)
     grads = [None] * (2 * depth)
-    blocks = _blocks(stack)
     for i in range(depth - 1, 0, -1):
         grads[2 * i], grads[2 * i + 1], _ = _layer_backward(
             g, ws[i], ins[i], plans[i], (False,))
         (h,), ins[i] = ins[i], None
-        _each(lambda rows: _hidden_grad(g, ws[i].T, h, rows), blocks)
-        g = h
+        live = h > 0.0
+        g = np.matmul(g, ws[i].T, out=h)
+        g *= live
     grads[0], grads[1], gparts = _layer_backward(g, ws[0], ins[0], plans[0],
                                                  need[2 * depth:])
     return [gr if n else None for gr, n in zip(grads, need)], gparts
@@ -707,11 +697,11 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     parts by the same block code into full-size arrays, so they carry the
     bits the forward computed and then dropped (the per-edge hidden outputs
     are the bulk of a training tape and cost one forward to rebuild), and
-    then backpropagates layer by layer.  It computes the gradients of the
-    inputs a parameter reaches only.
+    then backpropagates layer by layer on this thread.  It computes the
+    gradients of the inputs a parameter reaches only.
     """
     if nbr is not None:
-        nbr = np.asarray(nbr, dtype=np.int64)
+        nbr = _indices("mlp", nbr)
     datas = [p.data for p in parts]
     stack = _stack("mlp", layers, [d.shape for d in datas], nbr)
     outs = [None] * (len(layers) - 1) + [np.empty(stack[2][-1][3])]
@@ -756,7 +746,7 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
     parents, u's copy first, and get u's and v's gradients separately (if a
     parameter reaches them), so the tape adds them in the chain's order.
     """
-    nbr = np.asarray(nbr, dtype=np.int64)
+    nbr = _indices("attend", nbr)
     if nbr.ndim != 2:
         raise TensorError(f"attend: nbr must be an (n, k) table, "
                           f"got shape {nbr.shape}")
@@ -892,7 +882,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     the output has shape indices.shape + a.shape[1:] ((n, k) neighbour
     tables gather straight to (n, k, c) groups).  The gradient scatter-adds
     rows picked more than once."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _indices("gather_rows", indices)
     _check_rows("gather_rows", idx, a.data.shape[0])
     out = np.take(a.data, idx, axis=0)
     shape = a.data.shape

@@ -138,10 +138,11 @@ def test_dense_records_one_node_with_a_bool_mask():
     (lambda w, b, ps, nbr: (w, b[:-1], ps, nbr), "do not fit"),
     (lambda w, b, ps, nbr: (w, b, ps, nbr + 1), "out of range"),
     (lambda w, b, ps, nbr: (w, b, ps, -nbr), "out of range"),
+    (lambda w, b, ps, nbr: (w, b, ps, nbr + 0.5), "must be integers"),
     (lambda w, b, ps, nbr: (w, b, ps, nbr[:-1]), "do not broadcast"),
     (lambda w, b, ps, nbr: (w, b, [ps[0][None]] + ps[1:], nbr), "rank 2 or 3"),
-], ids=["weight-rows", "bias", "index-high", "index-negative", "table-rows",
-        "rank-4-part"])
+], ids=["weight-rows", "bias", "index-high", "index-negative", "index-float",
+        "table-rows", "rank-4-part"])
 def test_dense_rejects_mismatched_inputs(bad, match):
     w, b, parts, nbr = bad(*_inputs("set_conv"))
     with pytest.raises(T.TensorError, match=match):
@@ -424,11 +425,9 @@ def _ragged_blocks(monkeypatch, layout, widths, step):
     """Make mlp and attend run a layout's N = 6 rows in blocks of step rows
     and a ragged last one: _BLOCK_ELEMS is step rows of the widest layer
     output.  Returns a list that gets one entry per _each call: ("rows",
-    its blocks' sorted row counts) for a call over row blocks, ("parts",
-    its item count) for a layer backward's parts, and ("stacks", 2) for
-    attend's two stack backwards.  The calling thread and the helper share
-    a call's items, so their order is not fixed, and neither is the order
-    of the calls that attend's two stack backwards make on two threads."""
+    its blocks' sorted row counts) for a call over row blocks, and
+    ("stacks", 2) for attend's two stack backwards.  The calling thread and
+    the helper share a call's items, so their order is not fixed."""
     shapes, nbr = LAYOUTS[layout]
     per_edge = nbr is not None or len(shapes[0]) == 3
     monkeypatch.setattr(T, "_BLOCK_ELEMS",
@@ -436,9 +435,7 @@ def _ragged_blocks(monkeypatch, layout, widths, step):
     calls, each = [], T._each
 
     def each_spy(fn, items):
-        if isinstance(items, range):
-            calls.append(("parts", len(items)))
-        elif all(isinstance(rows, slice) for rows in items):
+        if all(isinstance(rows, slice) for rows in items):
             calls.append(("rows", tuple(sorted(rows.stop - rows.start
                                                for rows in items))))
         else:
@@ -447,13 +444,6 @@ def _ragged_blocks(monkeypatch, layout, widths, step):
 
     monkeypatch.setattr(T, "_each", each_spy)
     return calls
-
-
-def _backward_calls(blocks, depth, nparts):
-    """The _each calls of one stack's backward: per hidden layer, from the
-    last, its one part's gradients and then its input gradient in blocks;
-    then the first layer's parts."""
-    return [("parts", 1), blocks] * (depth - 1) + [("parts", nparts)]
 
 
 def _mlp_bits(layers, parts, nbr, relu_last):
@@ -492,14 +482,14 @@ def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in layers], step)
     assert _mlp_bits(layers, parts, nbr, relu_last) == want
-    # the taped forward, the backward's recompute of the hidden layers, each
-    # hidden layer's input gradient and the eager forward, each in a block
-    # of step rows and a ragged one; a per-row stack runs in one block
-    # (BLAS's summation order depends on a 2-D matmul's row count)
+    # the taped forward, the backward's recompute of the hidden layers (at
+    # depth > 1) and the eager forward, each in a block of step rows and a
+    # ragged one; the stack's backward runs on this thread alone.  A per-row
+    # stack runs in one block (BLAS's summation order depends on a 2-D
+    # matmul's row count)
     blocks = ("rows", (N,) if layout == "rows" else
               tuple(sorted([step, N - step])))
-    assert calls == ([blocks] * (1 + (depth > 1))
-                     + _backward_calls(blocks, depth, len(parts)) + [blocks])
+    assert calls == [blocks] * (2 + (depth > 1))
 
 
 @pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
@@ -513,13 +503,12 @@ def test_attend_in_row_blocks_is_bit_identical_to_one_block(
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in u + v], step)
     assert _attend_bits(u, v, parts, nbr) == want
-    # the taped and eager forwards run v and u per block, and so does the
-    # backward's recompute with the softmax gradient; then u's and v's
-    # stack backwards are the two items of one call, each with its calls
+    # the taped forward runs v and u per block, and so does the backward's
+    # recompute with the softmax gradient; then u's and v's stack backwards
+    # are the two items of one call, which make no call of their own; last,
+    # the eager forward
     blocks = ("rows", tuple(sorted([step, N - step])))
-    stack = _backward_calls(blocks, depth, len(parts))
-    assert sorted(calls) == sorted([blocks] * 3 + [("stacks", 2)]
-                                   + stack * 2)
+    assert calls == [blocks, blocks, ("stacks", 2), blocks]
 
 
 class _IdlePool:
@@ -553,8 +542,7 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
                                              for w, b in v],
                                   [p.shape for p in cv_parts], nbr))) == 16
     # the thread idents that ran each spied function's calls
-    threads = {name: set() for name in
-               ("_forward", "_stack_backward", "_hidden_grad")}
+    threads = {name: set() for name in ("_forward", "_stack_backward")}
 
     def spy(name, fn):
         def run(*args):
@@ -571,15 +559,10 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
     for name in threads:
         spy(name, getattr(T, name))
     blocked = bits()
-    # forward blocks, u's and v's stack backwards and the hidden layers'
-    # input-gradient blocks each ran on this thread and on the helper
+    # forward blocks and u's and v's stack backwards each ran on this
+    # thread and on the helper
     for ran in threads.values():
         assert len(ran) == 2 and threading.get_ident() in ran
-    # so did the input-gradient blocks of set_conv's mlp, whose stack
-    # backward runs on this thread alone
-    threads["_hidden_grad"].clear()
-    assert _mlp_bits(sc, sc_parts, sc_nbr, True) == blocked[1]
-    assert len(threads["_hidden_grad"]) == 2
     # with a helper whose jobs never start, this thread runs every item
     with monkeypatch.context() as m:
         m.setattr(T, "_POOL", _IdlePool())

@@ -16,7 +16,6 @@ import pytest
 import lidom.geom
 import lidom.headmask
 import lidom.net
-import lidom.pcops
 from conftest import grad_gap
 from lidom import tensor as T
 from lidom.costvol import CostVolume
@@ -476,7 +475,7 @@ def test_the_sampler_gives_the_bits_of_sampling_in_process(monkeypatch,
 def test_forwards_on_threads_get_their_own_pc2_tables(monkeypatch, fan_out):
     # one thread's request holds the sampler, the others sample in process;
     # a reply read by the wrong request would change that forward's poses.
-    # With blocks of a row or two and KNN chunks of a few queries, every
+    # With blocks of a row or two and KNN chunks of a query or two, every
     # mlp, attend and KNN call splits its work, and the six threads share
     # the one helper thread
     nets = [OdometryNet(desk_config(init_seed=i)) for i in range(2)]
@@ -484,7 +483,6 @@ def test_forwards_on_threads_get_their_own_pc2_tables(monkeypatch, fan_out):
     want = [_poses(net.forward(pc1, pc2)).tobytes() for net, pc1, pc2 in jobs]
     if fan_out:
         monkeypatch.setattr(T, "_BLOCK_ELEMS", 1 << 8)
-        monkeypatch.setattr(lidom.pcops, "_KNN_CHUNK_ELEMS", 1 << 10)
     got = [[] for _ in jobs]
 
     def run(i):

@@ -293,6 +293,14 @@ def test_set_conv_shapes_and_determinism():
     assert f1.tobytes() == f2.tobytes()
 
 
+def test_set_conv_rejects_non_integer_centres():
+    coords = np.random.default_rng(1).normal(size=(30, 3))
+    mlp = _mlp(T.ParamStore(), "sc", 3, [4])
+    centers, nbr = P.farthest_point_sample(coords, 10, 4)
+    with pytest.raises(T.TensorError, match="must be integers"):
+        P.set_conv(T.const(coords), None, centers + 0.5, nbr, mlp)
+
+
 def test_set_conv_first_layer_without_features():
     rng = np.random.default_rng(2)
     coords = rng.normal(size=(20, 3))

@@ -272,8 +272,15 @@ def test_broadcast_error_mentions_op():
 
 
 def test_gather_out_of_range_raises():
+    a = T.const(np.ones((3, 2)))
     with pytest.raises(T.TensorError, match="out of range"):
-        T.gather_rows(T.const(np.ones((3, 2))), np.array([0, 3]))
+        T.gather_rows(a, np.array([0, 3]))
+    # numpy would truncate 0.7 to row 0 and read a bool as row 0 or 1
+    for bad in ([0.7, 1.2], np.array([True, False])):
+        with pytest.raises(T.TensorError, match="must be integers"):
+            T.gather_rows(a, bad)
+    # an empty list, though its numpy dtype is float, gathers no row
+    assert T.gather_rows(a, []).shape == (0, 2)
 
 
 def test_unreached_parameter_gets_zero_grad():
