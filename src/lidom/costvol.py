@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .pcops import SharedMLP, knn_indices
+from .pcops import SharedMLP, _offsets, knn_indices
 
 __all__ = ["CostVolume", "CostVolumeError"]
 
@@ -64,8 +64,7 @@ class CostVolume:
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,
                 u: SharedMLP | None, v: SharedMLP) -> T.Tensor:
         n, k = nbr.shape
-        rel = T.sub(T.gather_rows(ref_coords, nbr),
-                    T.reshape(centers, (n, 1, 3)))
+        rel = _offsets(ref_coords, nbr, centers)
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2, keepdims=True),
                             T.const(_DIST_EPS)))
         parts = (rel, dist, T.reshape(center_f, (n, 1, center_f.shape[1])),

@@ -14,51 +14,19 @@ volume, no mask, per-level mask without coarse-to-fine conditioning, no warp,
 no refinement at all (single pose), and the first embedding at the coarsest
 level instead of the penultimate one.
 
-The pyramid's sampling (FPS centres and k-NN tables, pcops.sample_pyramid)
-uses no parameter, and nothing pc1 does needs pc2's until the first cost
-volume.  So forward sends pc2's subsample to a sampler process and samples
-and runs pc1's pyramid meanwhile, on a second core.  The child runs the same
-sample_pyramid from the same lidom sources on the same float64 points, and
-pickle carries arrays across the pipe byte for byte, so poses, tapes and
-gradients are bit-identical to sampling in this process.  The sampler is
-one child per Python process, shared by every OdometryNet.  The first
-forward starts it with subprocess.Popen running `python -c` (not fork, and
-not multiprocessing, which re-imports the caller's __main__).  It exits when
-its stdin closes: at interpreter exit an atexit hook closes that pipe and
-reaps it, and if this process dies the pipe closes with it.  A forward whose
-sampler cannot start or has died samples pc2 in this process with the same
-function, and the next forward starts a new sampler; a forward that raises
-with a request in flight kills the sampler, so no later request can read
-that reply.
-
-Once the sampler's work is done the second core runs half of the per-edge
-work instead: every per-edge mlp and attend op (the set_convs, the cost
-volumes, the set_upconvs) and every KNN call splits its rows into blocks
-that this thread and one helper thread claim in turn (tensor._each).  A
-block writes only its own rows, by the same code, so poses, tapes and
-gradients keep the bits of one thread.  A taped pair's backward shares
-the helper in attend: its recompute and softmax gradient run per block
-and its two stack backwards as two items, each written only by the code
-one thread would run, so the gradients keep their bits as well; every
-other stack's backward runs on one thread.
-Like the sampler, the helper is one per process, and the first forward
-that needs it starts it.  At a fork, os.register_at_fork hooks drop both
-in the child, which closes its copies of the sampler pipes at once, so
-that the parent's exit never waits on it, and starts its own.
+forward has lidom.workers' sampler process sample pc2's pyramid tables
+while pc1's pyramid runs, and samples them itself when the sampler gives no
+reply; the tables carry the same bits either way.
 """
 from __future__ import annotations
 
-import atexit
 import numbers
-import os
-import sys
-import threading
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import tensor as T
+from . import workers as W
 from .costvol import CostVolume
 from .headmask import RefineBlock, make_mask, pose_head, warp_refine
 from .pcops import (FcStack, PcopsError, SharedMLP, random_sample,
@@ -281,10 +249,13 @@ class OdometryNet:
         # pc2's coarsest level is read only by a last-level first embedding:
         # the penultimate one and every refinement step use levels 3-1
         sizes2 = sizes if cfg.first_embedding == "last" else sizes[:3]
-        with _SAMPLER.tables(sub2, sizes2, cfg.knn_k) as pc2_tables:
+        with W.SAMPLER.tables(sub2, sizes2, cfg.knn_k) as reply:
             p1 = self._run_pyramid(sub1, _named("pc1", sample_pyramid, sub1,
                                                 sizes, cfg.knn_k))
-            p2 = self._run_pyramid(sub2, _named("pc2", pc2_tables))
+            # reply() is None when the sampler cannot start, died or is busy
+            tables2 = _named("pc2", lambda: reply() or sample_pyramid(
+                sub2, sizes2, cfg.knn_k))
+            p2 = self._run_pyramid(sub2, tables2)
 
         if cfg.first_embedding == "penultimate":
             e3 = self.cv_init(p1.coords[2], p1.feats[2],
@@ -325,149 +296,3 @@ def _named(name: str, tables, *args):
     except PcopsError as e:
         raise NetError(f"{name}: {e}") from e
 
-
-# Seconds the sampler gets to exit once its stdin closes, before a kill.
-_EXIT_TIMEOUT_S = 2.0
-
-
-class _Sampler:
-    """The sampler process (see the module docstring): a child that runs
-    sample_pyramid for pickled (points, sizes, k) requests on its stdin and
-    writes each reply, (True, tables) or (False, PcopsError message), to its
-    stdout pipe."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()  # one request in flight
-        self._proc = None              # subprocess.Popen once started
-
-    @contextmanager
-    def tables(self, points: np.ndarray, sizes: list[int], k: int):
-        """Send sample_pyramid(points, sizes, k) to the child and yield a
-        function that returns its tables (or raises its PcopsError).  They
-        come from this process instead when the child cannot start, has
-        died, or is busy with another thread's request.  A request still in
-        flight when the block exits kills the child."""
-        if not self._lock.acquire(blocking=False):
-            yield lambda: sample_pyramid(points, sizes, k)
-            return
-        try:
-            # True until a send fails cleanly or the reply is read: an
-            # interrupted write or read leaves the pipes mid-message
-            pending = True
-            pending = self._send((points, sizes, k))
-
-            def result():
-                nonlocal pending
-                reply = self._receive() if pending else None
-                pending = False
-                if reply is None:
-                    return sample_pyramid(points, sizes, k)
-                ok, payload = reply
-                if not ok:
-                    raise PcopsError(payload)
-                return payload
-
-            yield result
-        finally:
-            if pending:
-                self._stop(kill=True)
-            self._lock.release()
-
-    def _send(self, request) -> bool:
-        import pickle
-        if self._proc is None:
-            self._start()
-        if self._proc is None:
-            return False
-        try:
-            pickle.dump(request, self._proc.stdin, pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
-            return True
-        except OSError:  # BrokenPipeError: the child has died
-            self._stop(kill=True)
-            return False
-
-    def _receive(self):
-        import pickle
-        try:
-            return pickle.load(self._proc.stdout)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            self._stop(kill=True)
-            return None
-
-    def _start(self) -> None:
-        import subprocess
-        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = (f"import sys; sys.path.insert(0, {src!r}); "
-                "from lidom.net import _sampler_main; _sampler_main()")
-        try:
-            self._proc = subprocess.Popen([sys.executable, "-c", code],
-                                          stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE)
-        except OSError:
-            self._proc = None
-
-    def _forget(self) -> None:
-        """Drop a forked child's copy of its parent's sampler handle (an
-        at-fork hook).  The child closes its copies of both pipes, so that
-        the sampler sees EOF once the parent closes its own, and does not
-        wait: the sampler is not the child's to reap.  poll()'s waitpid
-        fails with ECHILD, which Popen takes as an exit, so the handle goes
-        without a warning."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        for pipe in (proc.stdin, proc.stdout):
-            with suppress(OSError):
-                pipe.close()
-        proc.poll()
-
-    def _stop(self, kill: bool) -> None:
-        """Close the child's pipes and reap it: kill it first if asked, or
-        if it has not exited within _EXIT_TIMEOUT_S of its stdin closing."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        import subprocess
-        if kill:
-            proc.kill()
-        with suppress(OSError):  # an interrupted write's rest cannot go
-            proc.stdin.close()
-        try:
-            proc.wait(timeout=_EXIT_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-
-    def close(self) -> None:
-        self._stop(kill=False)
-
-
-_SAMPLER = _Sampler()
-atexit.register(_SAMPLER.close)
-os.register_at_fork(after_in_child=_SAMPLER._forget)
-
-
-def _sampler_main() -> None:
-    """The sampler process's loop: answer requests until stdin closes."""
-    import pickle
-    import signal
-    # Ctrl-C reaches the whole process group: the parent handles it, and
-    # its exit closes stdin
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    requests, replies = sys.stdin.buffer, sys.stdout.buffer
-    while True:
-        try:
-            points, sizes, k = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            reply = (True, sample_pyramid(points, sizes, k))
-        except PcopsError as e:
-            reply = (False, str(e))
-        try:
-            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-            replies.flush()
-        except BrokenPipeError:  # the parent has gone: exit without a flush
-            os._exit(0)

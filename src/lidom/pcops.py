@@ -12,20 +12,15 @@ FPS computes each pick's distance row to the whole cloud anyway, so it
 returns the pick's k nearest points with it, by the same selection:
 set_conv takes that table and the pyramid runs no KNN of its own.  Both
 reject clouds that are not (n, 3) or not finite, and FPS rejects a cloud
-with fewer distinct points than it must pick.  knn_indices runs its chunks
-of queries on two threads that pop them off one list (tensor._each), each
-with its own work buffers; a chunk writes only its own rows of the table,
-by the same code, so the table has the bits of one thread's.
+with fewer distinct points than it must pick.  knn_indices runs its
+chunks of queries on two threads (lidom.workers.each), each with its own
+work buffers; a chunk writes only its own rows of the table, by the same
+code, so the table has the bits of one thread's.
 
 sample_pyramid runs FPS level after level and returns every level's
-(centers, nbr) for one cloud.  No parameter reaches those tables, so they
-can be built anywhere: OdometryNet.forward builds pc2's in a sampler
-process while it runs pc1's pyramid.  The child runs this same function on
-the same float64 points, and pickle carries the points and the integer
-tables across the pipe byte for byte, so the tables, and every pose after
-them, are those of an in-process call.  The first forward starts the
-sampler, and it exits when its parent closes its stdin, at exit or on
-dying (see net).
+(centers, nbr) for one cloud.  No parameter reaches those tables, so
+OdometryNet.forward builds pc2's in lidom.workers' sampler process, with
+the bits of an in-process call, while it runs pc1's pyramid.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
@@ -49,6 +44,7 @@ import threading
 import numpy as np
 
 from . import tensor as T
+from . import workers as W
 
 __all__ = [
     "PcopsError", "SharedMLP", "FcStack",
@@ -135,7 +131,7 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
         raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
     _check_k(k, n)
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
-    chunk = max(1, min(m, T._BLOCK_ELEMS // n))
+    chunk = max(1, min(m, W.BLOCK_ELEMS // n))
     rows_buf, kth_buf = np.empty((chunk, n)), np.empty((chunk, n))
     within_buf = np.empty((chunk, n), dtype=bool)
     d2, tmp = np.empty(n), np.empty(n)
@@ -190,7 +186,7 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     n = ref.shape[0]
     _check_k(k, n)
     ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
-    chunk = max(1, min(query.shape[0], T._BLOCK_ELEMS // n))
+    chunk = max(1, min(query.shape[0], W.BLOCK_ELEMS // n))
     out = np.empty((query.shape[0], k), dtype=np.int64)
     bufs = {}   # each thread's (d2, tmp, within) chunk buffers
 
@@ -208,7 +204,7 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
         out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows],
                                      tmp_buf[:rows])
 
-    T._each(select, range(0, query.shape[0], chunk))
+    W.each(select, range(0, query.shape[0], chunk))
     return out
 
 
@@ -289,6 +285,13 @@ class FcStack:
         return x
 
 
+def _offsets(ref: T.Tensor, nbr: np.ndarray, centres: T.Tensor) -> T.Tensor:
+    """Each edge's offset, ref[nbr[i, j]] - centres[i], of shape (n, k, 3)
+    for the (n, k) table nbr: a gather, a reshape and a sub."""
+    return T.sub(T.gather_rows(ref, nbr),
+                 T.reshape(centres, (nbr.shape[0], 1, 3)))
+
+
 def set_conv(coords: T.Tensor, feats: T.Tensor | None,
              center_idx: np.ndarray, nbr: np.ndarray, mlp: SharedMLP
              ) -> tuple[T.Tensor, T.Tensor]:
@@ -304,8 +307,7 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     """
     out_coords = T.gather_rows(coords, center_idx)
     m = out_coords.shape[0]
-    parts = [T.sub(T.gather_rows(coords, nbr),
-                   T.reshape(out_coords, (m, 1, 3)))]
+    parts = [_offsets(coords, nbr, out_coords)]
     if feats is not None:
         ctr_f = T.gather_rows(feats, center_idx)
         parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
@@ -326,8 +328,6 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
     in set_conv; then run the second MLP on (pooled features, the dense
     point's own features).
     """
-    n = nbr.shape[0]
-    rel = T.sub(T.gather_rows(sparse_coords, nbr),
-                T.reshape(dense_coords, (n, 1, 3)))
+    rel = _offsets(sparse_coords, nbr, dense_coords)
     pooled = T.reduce_max(mlp1(rel, sparse_feats, nbr=nbr), axis=1)
     return mlp2(pooled, dense_feats)

@@ -28,24 +28,11 @@ row-local (a matmul per row), so the blocks give the bits of one pass over
 all rows.  A per-row stack's layer is one 2-D matmul, whose BLAS
 summation order depends on the row count, so it runs in one pass.
 
-The blocks of one op run on two threads, the caller's and the process's
-one helper thread, the worker of a one-thread ThreadPoolExecutor (_each):
-both pop blocks off one list and run each by the same code into its own
-output rows.  No block touches a tape, so which thread runs a block
-changes no bit, and the op records its node on the caller's thread once
-every block is done.  numpy's loops and BLAS release the interpreter
-lock, so the two threads' blocks overlap on two cores.  pcops.knn_indices
-runs its query chunks the same way.  The first call with two blocks
-imports concurrent.futures and starts the helper; a forked child drops
-the executor at the fork (os.register_at_fork) and starts its own; once
-the interpreter is shutting down, the caller runs every block.
-
-In backward only attend shares the helper, by the same rule: it
-recomputes both stacks and the softmax gradient per block, and then its
-u and v stack backwards are two items.  A stack's own backward runs on
-one thread.  An item computes its arrays by the code one thread would run
-and touches no tape, and Tape.backward adds the node's gradients on its
-own thread, in parent order, so every gradient keeps its bits.
+The blocks of one op, and attend's two stack backwards, run on this
+thread and the helper thread of lidom.workers, which says how.  Each item
+writes only its own outputs, by the code one thread would run, and touches
+no tape, and the op records its node on its caller's thread afterwards, so
+every output and gradient keeps the bits of one thread.
 
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
@@ -59,12 +46,13 @@ Everything is double precision end to end.
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import workers as W
 
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
@@ -367,92 +355,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n))
 
 
-# Output rows per block of an mlp or attend stack: rows times the elements
-# per row of the stack's widest layer output is at most this, so that one
-# per-edge (rows, k, c) float64 array is about 512 KiB and a block's layers
-# stay in a core's cache.  pcops' FPS and KNN size their (rows, n_ref)
-# distance chunks by it for the same reason.
-_BLOCK_ELEMS = 1 << 16
-
-
-_POOL = None                  # the helper thread's ThreadPoolExecutor
-_POOL_LOCK = threading.Lock()  # one thread makes it
-
-
-def _forget_pool() -> None:
-    """In a forked child, which has no helper thread, drop the executor and
-    replace the lock that another thread may have held at the fork."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _submit(job: list):
-    """The helper's future for _drain(job), the helper made on first use;
-    None once the interpreter is shutting down and takes no new job."""
-    global _POOL
-    try:
-        with _POOL_LOCK:
-            if _POOL is None:
-                from concurrent.futures import ThreadPoolExecutor
-                _POOL = ThreadPoolExecutor(max_workers=1,
-                                           thread_name_prefix="lidom-helper")
-        return _POOL.submit(_drain, job)
-    except RuntimeError:  # shutting down: no new thread, no new job
-        return None
-
-
-def _drain(job: list) -> None:
-    """Run fn on the items of job = [fn, items in reverse], popping the
-    next until none is left.  An exception empties the list, so that the
-    other thread claims no more."""
-    fn, todo = job
-    while True:
-        try:
-            item = todo.pop()
-        except IndexError:
-            return
-        try:
-            fn(item)
-        except BaseException:
-            todo.clear()
-            raise
-
-
-def _each(fn: Callable, items: Sequence) -> None:
-    """fn(item) for every item, on this thread and on the helper thread,
-    which pop the items off one list.  The call puts one job on the
-    helper's queue and waits for it only if the helper has started it (its
-    future cannot be cancelled), so a helper that is busy with another
-    thread's call or not yet running never stalls it, and no call can
-    deadlock.  No item in lidom makes a call of its own; the rule protects
-    callers on separate threads, which share the one helper.  An exception
-    stops further claims and is raised here once the other thread has
-    finished its current item (this thread's, if both raise).  Once the
-    interpreter is shutting down, this thread runs every item.
-
-    The items must write disjoint outputs and touch no tape: a caller
-    records its node after the call, on its own thread."""
-    if len(items) < 2:
-        for item in items:
-            fn(item)
-        return
-    job = [fn, list(reversed(items))]
-    helper = _submit(job)
-    try:
-        _drain(job)
-    finally:
-        started = helper is not None and not helper.cancel()
-        error = helper.exception() if started else None
-        # a cancelled job stays queued until the helper gets to it, and
-        # must not keep fn's arrays alive until then
-        job.clear()
-    if error is not None:
-        raise error
-
-
 def _project(pd: np.ndarray, wj: np.ndarray, out=None) -> np.ndarray:
     """pd @ wj, into out if given.  A width-1 part's product is an outer
     product: the broadcast multiply gives matmul's bits at a fraction of its
@@ -559,7 +461,7 @@ def _stack(op: str, layers, shapes: list, nbr) -> tuple[list, list, list]:
 
 
 def _blocks(*stacks) -> list[slice]:
-    """The stacks' common output rows in blocks of at most _BLOCK_ELEMS
+    """The stacks' common output rows in blocks of at most W.BLOCK_ELEMS
     elements of their widest layer output, the last block ragged.
 
     A per-row stack, of (n, c) outputs, is one block: each of its layers is
@@ -571,7 +473,7 @@ def _blocks(*stacks) -> list[slice]:
     n = plans[0][3][0]
     if len(plans[0][3]) == 2:
         return [slice(0, n)]
-    step = max(1, _BLOCK_ELEMS // max(math.prod(p[3][1:]) for p in plans))
+    step = max(1, W.BLOCK_ELEMS // max(math.prod(p[3][1:]) for p in plans))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -613,11 +515,11 @@ def _forward(stack: tuple, srcs: list, rows: slice, relu_last: bool,
 def _fill(stack: tuple, datas: list, outs: list,
           relu_last: bool = True) -> list:
     """Run the stack's first len(outs) layers over every row, block by
-    block on two threads (_each), each into its full-size array in outs
+    block on two threads (W.each), each into its full-size array in outs
     (None: kept per block only); returns outs."""
     if outs:
         srcs = _sources(stack, datas)
-        _each(lambda rows: _forward(
+        W.each(lambda rows: _forward(
             stack, srcs, rows, relu_last,
             [None if o is None else o[rows] for o in outs]), _blocks(stack))
     return outs
@@ -639,7 +541,7 @@ def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
     w1, b1, ...] grads, part grads), None where need is False.
 
     It runs on one thread: mlp's on the caller's, attend's two as the two
-    items of one _each call.  A hidden layer computes its weight and bias
+    items of one W.each call.  A hidden layer computes its weight and bias
     gradients from its input h first; then its input gradient, masked by
     h's relu, which is read first, takes h's buffer."""
     ws, _, plans = stack
@@ -658,7 +560,7 @@ def _stack_backward(g: np.ndarray, stack: tuple, ins: list,
 
 
 def _stack_item(item: list) -> None:
-    """An _each item [g, stack, ins, need] of attend's backward, replaced by
+    """A W.each item [g, stack, ins, need] of attend's backward, replaced by
     [_stack_backward's result].  g leaves the list as the call takes it, so
     that the stack's backward frees it once it is spent."""
     stack, ins, need = item[1:]
@@ -684,9 +586,9 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     sum.  Each layer equals the layer on the concat up to summation order.
 
     A per-edge stack runs in blocks of output rows (centres), each sized so
-    that one per-edge array of it is about 512 KiB (_BLOCK_ELEMS): a block
+    that one per-edge array of it is about 512 KiB (W.BLOCK_ELEMS): a block
     runs every layer while its arrays stay in cache, and writes its rows of
-    the output, on this thread or the helper (_each).  Every op in such a
+    the output, on this thread or the helper (W.each).  Every op in such a
     block is row-local (a matmul per centre), so the blocks give the bits of
     one pass over all rows.  A per-row stack runs as one block (see
     _blocks).  Within a block the parts accumulate in place into the first
@@ -740,7 +642,7 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
     hidden layers into full-size arrays, its values and softmax weights
     into block temporaries, and replays the chain's sum, mul and softmax
     backward arithmetic into its rows of the logits' and the values'
-    gradients.  Then u's and v's stack backwards run as two _each items,
+    gradients.  Then u's and v's stack backwards run as two W.each items,
     which alone hold each stack's incoming gradient and hidden layers, so
     each is freed once spent.  The parts are listed twice among the node's
     parents, u's copy first, and get u's and v's gradients separately (if a
@@ -771,7 +673,7 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
         val *= _softmax(logits, 1, out=logits)
         val.sum(axis=1, out=out[rows])
 
-    _each(block, _blocks(v, u))
+    W.each(block, _blocks(v, u))
     if _ACTIVE.tape is None:
         return Tensor(out)
     inputs = (*(t for layer in u_layers for t in layer), *parts,
@@ -801,13 +703,13 @@ def attend(u_layers: Sequence[tuple[Tensor, Tensor]],
             np.multiply(ge, w, out=gv)
             gv *= val > 0.0
 
-        _each(block, _blocks(v, u))
+        W.each(block, _blocks(v, u))
         # the items alone hold each stack's incoming gradient and hidden
         # layers, which its backward drops as it goes
         items = [[glogits, u, [datas, *([h] for h in uh)], need[:un]],
                  [gval, v, [datas, *([h] for h in vh)], need[un:]]]
         del vh, uh, glogits, gval
-        _each(_stack_item, items)
+        W.each(_stack_item, items)
         (ugrads, ugparts), (vgrads, vgparts) = (item[0] for item in items)
         return (*ugrads, *ugparts, *vgrads, *vgparts)
 

@@ -23,6 +23,7 @@ import pytest
 
 from conftest import finite_diff, grad_gap, params
 from lidom import tensor as T
+from lidom import workers as W
 
 N, K, N_REF, C = 6, 4, 5, 3
 # one repeated index inside a row and rows that share indices, so the
@@ -418,21 +419,21 @@ def test_attend_has_no_uniform_mode():
 
 # --- row blocks: mlp and attend run over blocks of output rows ---
 
-ONE_BLOCK = 1 << 62    # a _BLOCK_ELEMS that fits any test stack in one block
+ONE_BLOCK = 1 << 62    # a BLOCK_ELEMS that fits any test stack in one block
 
 
 def _ragged_blocks(monkeypatch, layout, widths, step):
     """Make mlp and attend run a layout's N = 6 rows in blocks of step rows
-    and a ragged last one: _BLOCK_ELEMS is step rows of the widest layer
-    output.  Returns a list that gets one entry per _each call: ("rows",
+    and a ragged last one: BLOCK_ELEMS is step rows of the widest layer
+    output.  Returns a list that gets one entry per W.each call: ("rows",
     its blocks' sorted row counts) for a call over row blocks, and
     ("stacks", 2) for attend's two stack backwards.  The calling thread and
     the helper share a call's items, so their order is not fixed."""
     shapes, nbr = LAYOUTS[layout]
     per_edge = nbr is not None or len(shapes[0]) == 3
-    monkeypatch.setattr(T, "_BLOCK_ELEMS",
+    monkeypatch.setattr(W, "BLOCK_ELEMS",
                         step * (K if per_edge else 1) * max(widths))
-    calls, each = [], T._each
+    calls, each = [], W.each
 
     def each_spy(fn, items):
         if all(isinstance(rows, slice) for rows in items):
@@ -442,7 +443,7 @@ def _ragged_blocks(monkeypatch, layout, widths, step):
             calls.append(("stacks", len(items)))
         each(fn, items)
 
-    monkeypatch.setattr(T, "_each", each_spy)
+    monkeypatch.setattr(W, "each", each_spy)
     return calls
 
 
@@ -477,7 +478,7 @@ def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
     # per-edge, per-centre, gathered and width-1 parts with the table, and
     # per-row (with a width-1 part) and per-edge parts without it
     layers, parts, nbr = _stack_inputs(layout, depth, seed=4)
-    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    monkeypatch.setattr(W, "BLOCK_ELEMS", ONE_BLOCK)
     want = _mlp_bits(layers, parts, nbr, relu_last)
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in layers], step)
@@ -498,7 +499,7 @@ def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
 def test_attend_in_row_blocks_is_bit_identical_to_one_block(
         monkeypatch, layout, depth, step):
     u, v, parts, nbr = _attend_inputs(layout, depth, seed=5)
-    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    monkeypatch.setattr(W, "BLOCK_ELEMS", ONE_BLOCK)
     want = _attend_bits(u, v, parts, nbr)
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in u + v], step)
@@ -523,7 +524,7 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
         monkeypatch):
     # full_config's shapes: the finest refinement's cost-volume stage (2048
     # centres, 16 neighbours, 32 channels) and pyramid level 2's set_conv
-    # (1024 centres of 2048 points, 64 channels), in _BLOCK_ELEMS's blocks
+    # (1024 centres of 2048 points, 64 channels), in BLOCK_ELEMS's blocks
     rng = np.random.default_rng(6)
 
     def stack(widths):
@@ -565,11 +566,11 @@ def test_full_config_stacks_in_row_blocks_are_bit_identical_to_one_block(
         assert len(ran) == 2 and threading.get_ident() in ran
     # with a helper whose jobs never start, this thread runs every item
     with monkeypatch.context() as m:
-        m.setattr(T, "_POOL", _IdlePool())
+        m.setattr(W, "_POOL", _IdlePool())
         assert bits() == blocked
         for ran in threads.values():
             assert ran == {threading.get_ident()}
-    monkeypatch.setattr(T, "_BLOCK_ELEMS", ONE_BLOCK)
+    monkeypatch.setattr(W, "BLOCK_ELEMS", ONE_BLOCK)
     assert bits() == blocked
 
 
@@ -649,14 +650,14 @@ def test_a_busy_helper_never_stalls_a_call_nor_keeps_its_fn():
         else:
             helper_in.wait(timeout=30)
 
-    holder = threading.Thread(target=T._each, args=(hold, [0, 1]))
+    holder = threading.Thread(target=W.each, args=(hold, [0, 1]))
     holder.start()
     try:
         assert helper_in.wait(timeout=30)
         ran = []
         fn = lambda item: ran.append((item, threading.get_ident()))
         fn_ref = weakref.ref(fn)
-        T._each(fn, range(8))
+        W.each(fn, range(8))
         assert helper_done == []
         assert sorted(ran) == [(i, threading.get_ident()) for i in range(8)]
         del fn
@@ -668,4 +669,4 @@ def test_a_busy_helper_never_stalls_a_call_nor_keeps_its_fn():
     # the released helper serves the next call: each item waits for the
     # other, on the other thread
     met = threading.Barrier(2, timeout=30)
-    T._each(lambda item: met.wait(), range(2))
+    W.each(lambda item: met.wait(), range(2))

@@ -18,6 +18,7 @@ import lidom.headmask
 import lidom.net
 from conftest import grad_gap
 from lidom import tensor as T
+from lidom import workers as W
 from lidom.costvol import CostVolume
 from lidom.net import NetError, OdometryNet, desk_config
 from lidom.pcops import FcStack, PcopsError, SharedMLP
@@ -461,7 +462,7 @@ def test_the_sampler_gives_the_bits_of_sampling_in_process(monkeypatch,
     eager, taped, grads = both()
     assert len(calls) == 2   # pc1's, per forward: pc2's ran in the sampler
     # a request in flight holds the lock, so a forward samples in process
-    with lidom.net._SAMPLER._lock:
+    with W.SAMPLER._lock:
         serial = both()
     assert len(calls) == 6
     assert eager == serial[0] and taped == serial[1] and eager == taped
@@ -482,7 +483,7 @@ def test_forwards_on_threads_get_their_own_pc2_tables(monkeypatch, fan_out):
     jobs = [(nets[i % 2], *_scans(seed=i)) for i in range(6)]
     want = [_poses(net.forward(pc1, pc2)).tobytes() for net, pc1, pc2 in jobs]
     if fan_out:
-        monkeypatch.setattr(T, "_BLOCK_ELEMS", 1 << 8)
+        monkeypatch.setattr(W, "BLOCK_ELEMS", 1 << 8)
     got = [[] for _ in jobs]
 
     def run(i):
@@ -507,15 +508,15 @@ def test_forwards_on_threads_get_their_own_pc2_tables(monkeypatch, fan_out):
 def test_a_sampler_that_cannot_start_samples_in_process(monkeypatch,
                                                         tmp_path):
     want = _poses(OdometryNet(desk_config()).forward(*_scans())).tobytes()
-    lidom.net._SAMPLER.close()
+    W.SAMPLER.close()
     calls = _counting(monkeypatch, lidom.net, "sample_pyramid")
     monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
     net = OdometryNet(desk_config())
     assert _poses(net.forward(*_scans())).tobytes() == want
-    assert len(calls) == 2 and lidom.net._SAMPLER._proc is None
+    assert len(calls) == 2 and W.SAMPLER._proc is None
     monkeypatch.undo()
     assert _poses(net.forward(*_scans())).tobytes() == want
-    assert lidom.net._SAMPLER._proc is not None
+    assert W.SAMPLER._proc is not None
 
 
 # No `if __name__ == "__main__"` guard: a sampler started through
@@ -526,7 +527,7 @@ import threading
 import numpy as np
 sys.path.insert(0, {src!r})
 import lidom.net as N
-import lidom.tensor as T
+import lidom.workers as W
 
 def poses(net):
     rng = np.random.default_rng(0)
@@ -535,22 +536,29 @@ def poses(net):
                     for lv in out.levels)
 
 def started():
-    return threading.active_count() - 1, N._SAMPLER._proc is not None
+    return threading.active_count() - 1, W.SAMPLER._proc is not None
+
+def loaded():   # what the helper and the sampler import when they start
+    return [m for m in ("subprocess", "concurrent.futures")
+            if m in sys.modules]
 
 assert started() == (0, False)   # importing starts nothing
+assert loaded() == []            # nor imports what starting needs
 net = N.OdometryNet(N.desk_config())
 assert started() == (0, False)   # nor does building a network
-T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
+assert loaded() == []
+W.BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
 first = poses(net)
 assert started() == (1, True)    # the first forward starts both
-proc = N._SAMPLER._proc
+assert loaded() == ["subprocess", "concurrent.futures"]
+proc = W.SAMPLER._proc
 print(proc.pid)
 proc.kill()
 proc.wait()
 assert poses(net) == first   # sampled in this process: the sampler died
-assert N._SAMPLER._proc is None
+assert W.SAMPLER._proc is None
 assert poses(net) == first   # by a new sampler
-print(N._SAMPLER._proc.pid)
+print(W.SAMPLER._proc.pid)
 """
 
 
@@ -579,7 +587,7 @@ import warnings
 import numpy as np
 sys.path.insert(0, {src!r})
 import lidom.net as N
-import lidom.tensor as T
+import lidom.workers as W
 
 def poses(net):
     rng = np.random.default_rng(0)
@@ -587,11 +595,11 @@ def poses(net):
     return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
                     for lv in out.levels)
 
-T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
+W.BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
 net = N.OdometryNet(N.desk_config())
 first = poses(net)
 assert threading.active_count() == 2
-parent_sampler = N._SAMPLER._proc.pid
+parent_sampler = W.SAMPLER._proc.pid
 print(parent_sampler, flush=True)
 ready_r, ready_w = os.pipe()     # the child's sampler pid, once it forwarded
 done_r, done_w = os.pipe()       # EOF once the parent has closed its sampler
@@ -606,10 +614,10 @@ if pid == 0:
         os.close(ready_r)
         os.close(done_w)
         ok = (poses(net) == first and threading.active_count() == 2
-              and N._SAMPLER._proc.pid != parent_sampler)
-        os.write(ready_w, b"%d\\n" % N._SAMPLER._proc.pid)
+              and W.SAMPLER._proc.pid != parent_sampler)
+        os.write(ready_w, b"%d\\n" % W.SAMPLER._proc.pid)
         os.read(done_r, 1)
-        N._SAMPLER.close()
+        W.SAMPLER.close()
     finally:
         os._exit(0 if ok else 1)
 os.close(ready_w)
@@ -628,9 +636,9 @@ if line:
     # the living child holds no copy of the sampler's stdin, so the sampler
     # sees EOF at once and close() need not wait for its kill
     start = time.monotonic()
-    N._SAMPLER.close()
+    W.SAMPLER.close()
     took = time.monotonic() - start
-    if took > N._EXIT_TIMEOUT_S / 4:
+    if took > W._EXIT_TIMEOUT_S / 4:
         fail(f"closing the sampler took {{took:.2f}} s beside a forked child")
 os.close(done_w)
 deadline = time.monotonic() + 60
@@ -670,11 +678,12 @@ import warnings
 import numpy as np
 sys.path.insert(0, {src!r})
 import lidom.net as N
+import lidom.workers as W
 
 rng = np.random.default_rng(0)
 N.OdometryNet(N.desk_config()).forward(rng.normal(size=(600, 3)),
                                        rng.normal(size=(600, 3)))
-print(N._SAMPLER._proc.pid, flush=True)
+print(W.SAMPLER._proc.pid, flush=True)
 done_r, done_w = os.pipe()       # EOF once the parent has closed its sampler
 with warnings.catch_warnings():  # forking with the helper thread running
     warnings.simplefilter("ignore", DeprecationWarning)
@@ -686,7 +695,7 @@ if pid == 0:
     os._exit(0)
 os.close(done_r)
 start = time.monotonic()
-N._SAMPLER.close()
+W.SAMPLER.close()
 print(time.monotonic() - start, flush=True)
 os.close(done_w)
 os.waitpid(pid, 0)
@@ -705,7 +714,7 @@ def test_a_forked_child_that_never_forwards_does_not_delay_close(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0 and run.stderr == "", run.stderr
     pid, took = run.stdout.split()
-    assert float(took) < lidom.net._EXIT_TIMEOUT_S / 4
+    assert float(took) < W._EXIT_TIMEOUT_S / 4
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid), 0)
 
@@ -716,7 +725,7 @@ import threading
 import numpy as np
 sys.path.insert(0, {src!r})
 import lidom.net as N
-import lidom.tensor as T
+import lidom.workers as W
 
 def poses(net):
     rng = np.random.default_rng(0)
@@ -728,7 +737,7 @@ def late():
     threading.main_thread().join()   # the interpreter is shutting down
     print(poses(net).hex(), flush=True)
 
-T._BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
+W.BLOCK_ELEMS = 1 << 10         # so that desk_config's stacks split
 net = N.OdometryNet(N.desk_config())
 if {warm}:                       # start the helper before shutdown
     print(poses(net).hex(), flush=True)
