@@ -299,9 +299,10 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
 
     nbr is the (m, k) table of each center's nearest input points, as
     farthest_point_sample returns it with the centers.  For each center,
-    max-pool the shared MLP over its k neighbors.  The MLP's input per edge
+    max-pool the shared MLP over its k neighbors, as one pooled T.mlp op
+    (pool=True), which builds no per-edge output.  The MLP's input per edge
     is (neighbor - center, neighbor features, center features); its first
-    layer runs factorized (SharedMLP with nbr): offsets per edge, neighbor
+    layer runs factorized (T.mlp with nbr): offsets per edge, neighbor
     features projected once per input point and gathered, center features
     projected once per center.  Returns (center coords, features).
     """
@@ -311,7 +312,8 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     if feats is not None:
         ctr_f = T.gather_rows(feats, center_idx)
         parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
-    pooled = T.reduce_max(mlp(*parts, nbr=nbr), axis=1)
+    pooled = T.mlp(mlp.tensors(*parts), *parts, nbr=nbr,
+                   relu_last=mlp.relu_last, pool=True)
     return out_coords, pooled
 
 
@@ -323,11 +325,12 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
     nbr is the (n_dense, k) table of each dense point's nearest sparse points,
     knn_indices(dense coords, sparse coords, k); callers that propagate
     several sparse features over the same two clouds share one table.  Per
-    dense point: max-pool the first MLP over those k sparse points, whose
-    input per edge is (sparse - dense, sparse features), run factorized as
-    in set_conv; then run the second MLP on (pooled features, the dense
-    point's own features).
+    dense point: max-pool the first MLP over those k sparse points as one
+    pooled T.mlp op (pool=True), whose input per edge is (sparse - dense,
+    sparse features), run factorized as in set_conv; then run the second
+    MLP on (pooled features, the dense point's own features).
     """
     rel = _offsets(sparse_coords, nbr, dense_coords)
-    pooled = T.reduce_max(mlp1(rel, sparse_feats, nbr=nbr), axis=1)
+    pooled = T.mlp(mlp1.tensors(rel, sparse_feats), rel, sparse_feats,
+                   nbr=nbr, relu_last=mlp1.relu_last, pool=True)
     return mlp2(pooled, dense_feats)

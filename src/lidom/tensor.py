@@ -7,8 +7,8 @@ backward() replays the record in reverse and returns the parameters'
 gradients; the tape has no grad().  Ops called with no active tape run
 eagerly and return constant tensors, so inference runs the same code as
 training and records nothing.  Eager ops also compute only their
-output: state that only backward reads (reduce_max's argmax, mlp's relu
-mask) is built while a tape records and never otherwise.  A tape records
+output: state that only backward reads (mlp's relu mask, a pooled mlp's
+argmax) is built while a tape records and never otherwise.  A tape records
 only its own thread's ops: the recording tape is per thread, and entering
 a tape while another records on the same thread raises TensorError.
 
@@ -37,10 +37,11 @@ every output and gradient keeps the bits of one thread.
 The op set is exactly what the odometry network needs: broadcasting
 elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
 matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
-shared MLP, or one layer of an FC stack), attend (a neighbourhood's
+shared MLP, or one layer of an FC stack; pooled, a set abstraction, the max
+of a shared MLP over each neighbourhood), attend (a neighbourhood's
 softmax-weighted sum of one mlp stack's outputs, weights from another, as
-one op: an attentive cost-volume stage), axis softmax, sum and per-axis max
-reductions, reshape, and row gathers with scatter-add gradients.
+one op: an attentive cost-volume stage), axis softmax, sum reductions,
+reshape, and row gathers with scatter-add gradients.
 Everything is double precision end to end.
 """
 from __future__ import annotations
@@ -57,7 +58,7 @@ from . import workers as W
 __all__ = [
     "Tensor", "Tape", "Parameter", "ParamStore", "TensorError",
     "const", "add", "sub", "mul", "div", "sqrt",
-    "matmul", "mlp", "attend", "softmax_axis", "reduce_sum", "reduce_max",
+    "matmul", "mlp", "attend", "softmax_axis", "reduce_sum",
     "reshape", "gather_rows", "save_params", "load_params",
 ]
 
@@ -81,7 +82,11 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, whatever its shape."""
+        if self.data.size != 1:
+            raise TensorError(f"item: needs one element, got shape "
+                              f"{self.data.shape}")
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
@@ -567,13 +572,28 @@ def _stack_item(item: list) -> None:
     item[:] = [_stack_backward(item.pop(0), stack, ins, need)]
 
 
+def _first_argmax(x: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """x.argmax(axis=1) of an (n, k, c) block whose max over axis 1 is
+    top, in the narrowest unsigned type: k minus the max of k..1 over the
+    entries equal to their column's max, so the first on ties.  A NaN max
+    matches nothing, so a block with one takes argmax's first NaN."""
+    k = x.shape[1]
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    hit = np.multiply(x == top[:, None, :], rank, dtype=rank.dtype).max(axis=1)
+    if not hit.all():
+        return x.argmax(axis=1)
+    return k - hit
+
+
 def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
-        relu_last: bool = True) -> Tensor:
+        relu_last: bool = True, pool: bool = False) -> Tensor:
     """The (weight, bias) layers one after another as one op: the first is
     relu(concat(parts) @ w + b) over parts, without the concat, each later
     one the same over the output before it, with relu on every hidden layer
     and on the last if relu_last.  A shared MLP is one mlp, and so is each
-    layer of an FC stack, with relu_last off.
+    layer of an FC stack, with relu_last off.  With pool it is a set
+    abstraction: the (n, c) max over the neighbours of its (n, k, c)
+    output, for the (n, k) table nbr.
 
     Each part multiplies its own row block of the first weight (a view; a
     width-1 part is a broadcast multiply).  Without nbr every part is per
@@ -592,31 +612,62 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
     block is row-local (a matmul per centre), so the blocks give the bits of
     one pass over all rows.  A per-row stack runs as one block (see
     _blocks).  Within a block the parts accumulate in place into the first
-    projection and the relu, max(x, 0.0), runs in place.
+    projection and the relu, max(x, 0.0), runs in place.  A pooled block
+    max-reduces its temporaries into its rows of the output, so no
+    per-edge output is built.
 
     A taped mlp keeps only its parts' arrays and, with relu_last, one bool
-    mask of its output.  Its backward recomputes the hidden layers from the
-    parts by the same block code into full-size arrays, so they carry the
-    bits the forward computed and then dropped (the per-edge hidden outputs
-    are the bulk of a training tape and cost one forward to rebuild), and
-    then backpropagates layer by layer on this thread.  It computes the
-    gradients of the inputs a parameter reaches only.
+    mask of its output; pooled, that mask is (n, c), and the blocks also
+    write an (n, c) first-index argmax (uint8 for k <= 256) for it to keep.
+    Its backward recomputes the hidden layers from the parts by the same
+    block code into full-size arrays, so they carry the bits the forward
+    computed and then dropped (the per-edge hidden outputs are the bulk of
+    a training tape and cost one forward to rebuild), and then
+    backpropagates layer by layer on this thread; pooled, from the masked
+    gradient at each argmax and +0.0 elsewhere, which gives the bits of a
+    max node after the unpooled mlp.  It computes the gradients of the
+    inputs a parameter reaches only.
     """
     if nbr is not None:
         nbr = _indices("mlp", nbr)
     datas = [p.data for p in parts]
     stack = _stack("mlp", layers, [d.shape for d in datas], nbr)
-    outs = [None] * (len(layers) - 1) + [np.empty(stack[2][-1][3])]
-    out = _fill(stack, datas, outs, relu_last)[-1]
-    if _ACTIVE.tape is None:
+    edge_shape = stack[2][-1][3]
+    taped, arg = _ACTIVE.tape is not None, None
+    if pool:
+        if nbr is None or nbr.ndim != 2 or edge_shape[:-1] != nbr.shape:
+            raise TensorError(f"mlp: pool needs an (n, k) table and a "
+                              f"per-edge output, got {edge_shape}")
+        n, k, c = edge_shape
+        out = np.empty((n, c))
+        if taped:
+            arg = np.empty((n, c), np.min_scalar_type(k - 1))
+        srcs = _sources(stack, datas)
+
+        def block(rows):
+            last = _forward(stack, srcs, rows, relu_last, [None] * len(layers))
+            top = last.max(axis=1, out=out[rows])
+            if arg is not None:
+                arg[rows] = _first_argmax(last, top)
+
+        W.each(block, _blocks(stack))
+    else:
+        outs = [None] * (len(layers) - 1) + [np.empty(edge_shape)]
+        out = _fill(stack, datas, outs, relu_last)[-1]
+    if not taped:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None
     inputs = (*(t for layer in layers for t in layer), *parts)
     need = tuple(_reached(t) for t in inputs)
 
     def back(g):
-        grads, gparts = _stack_backward(g if mask is None else g * mask,
-                                        stack, _hidden(stack, datas), need)
+        if mask is not None:
+            g = g * mask
+        if pool:
+            gl = np.zeros(edge_shape)
+            np.put_along_axis(gl, arg[:, None, :], g[:, None, :], 1)
+            g = gl
+        grads, gparts = _stack_backward(g, stack, _hidden(stack, datas), need)
         return (*grads, *gparts)
 
     return _make("mlp", inputs, out, back)
@@ -746,25 +797,6 @@ def reduce_sum(a: Tensor, axis: int | None = None,
         return (np.broadcast_to(ge, shape).copy(),)
 
     return _make("sum", (a,), out, back)
-
-
-def reduce_max(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis; gradient flows to the first (lowest-index) argmax."""
-    out = a.data.max(axis=axis)
-    if _ACTIVE.tape is None:
-        return Tensor(out)
-    shape = a.data.shape
-    # first index on ties, in the narrowest type that holds it (uint8 for a
-    # neighbourhood of up to 256)
-    arg = np.expand_dims(a.data.argmax(axis=axis), axis).astype(
-        np.min_scalar_type(shape[axis] - 1))
-
-    def back(g):
-        ga = np.zeros(shape)
-        np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis)
-        return (ga,)
-
-    return _make("max", (a,), out, back)
 
 
 # --- shape ops ---

@@ -27,12 +27,13 @@ thread's request samples pc2 itself, and the next forward starts a new
 sampler; a forward that raises with a request in flight kills the sampler,
 so no later request can read that reply.
 
-At a fork one os.register_at_fork hook drops the executor and the sampler
-handle in the child, which closes its copies of the sampler pipes at once,
-so that the parent's exit never waits on it; the child starts its own
-helper and sampler when it needs them.  Nothing from lidom is imported at
-module level, so tensor and pcops import this module without a cycle; they
-read BLOCK_ELEMS and each at call time.
+At a fork one os.register_at_fork hook drops the executor, both locks
+(another thread may hold either) and the sampler handle in the child,
+which closes its copies of the sampler pipes at once, so that the parent's
+exit never waits on it; the child starts its own helper and sampler when
+it needs them.  Nothing from lidom is imported at module level, so tensor
+and pcops import this module without a cycle; they read BLOCK_ELEMS and
+each at call time.
 """
 from __future__ import annotations
 
@@ -236,10 +237,12 @@ atexit.register(SAMPLER.close)
 
 
 def _after_fork_in_child() -> None:
-    """Drop the executor, the lock another thread may have held at the
-    fork, and the parent's sampler handle."""
+    """Drop the executor, the locks another thread may have held at the
+    fork (the executor's, and the sampler's with a request in flight), and
+    the parent's sampler handle."""
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
+    SAMPLER._lock = threading.Lock()
     SAMPLER._forget()
 
 

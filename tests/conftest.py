@@ -1,4 +1,5 @@
-"""Shared oracles: central-difference gradients and comparison helpers."""
+"""Shared oracles: central-difference gradients, comparison helpers and the
+op chain that a pooled T.mlp equals."""
 from __future__ import annotations
 
 import numpy as np
@@ -41,3 +42,26 @@ def params(*arrays, prefix: str = "x") -> list:
     gradients only, so a test takes an input's gradient by making the input
     a parameter and reading its name from Tape.backward's map."""
     return [T.Parameter(f"{prefix}{i}", a) for i, a in enumerate(arrays)]
+
+
+def reduce_max(a: T.Tensor, axis: int) -> T.Tensor:
+    """The oracle of a pooled T.mlp's pooling: the max over one axis as a
+    tape node of its own, "max", whose gradient flows to the first
+    (lowest-index) argmax by np.argmax."""
+    out = a.data.max(axis=axis)
+    arg = np.expand_dims(a.data.argmax(axis=axis), axis)
+    shape = a.data.shape
+
+    def back(g):
+        ga = np.zeros(shape)
+        np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis)
+        return (ga,)
+
+    return T._make("max", (a,), out, back)
+
+
+def pooled_chain(layers, *parts, nbr, relu_last: bool = True) -> T.Tensor:
+    """The op chain that T.mlp(..., pool=True) is bit for bit: the unpooled
+    mlp node over the (n, k) table, then reduce_max over the neighbours."""
+    return reduce_max(T.mlp(layers, *parts, nbr=nbr, relu_last=relu_last),
+                      axis=1)

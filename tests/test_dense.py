@@ -11,9 +11,12 @@ writes +0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits`
 compares with the sign of zero cleared.  The oracle for a stack,
 `dense_chain`, runs one layer_chain per layer, so it shares no layer code
 with mlp.  The oracle for attend, `attend_chain`, is mlp for u and v, then
-softmax_axis, mul and reduce_sum.
+softmax_axis, mul and reduce_sum.  The oracle for a pooled mlp is
+conftest's `pooled_chain`: the unpooled mlp, then a max node whose gradient
+goes to each column's first argmax.
 """
 import concurrent.futures
+import functools
 import threading
 import time
 import weakref
@@ -21,7 +24,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import finite_diff, grad_gap, params
+from conftest import finite_diff, grad_gap, params, pooled_chain
 from lidom import tensor as T
 from lidom import workers as W
 
@@ -266,6 +269,148 @@ def test_mlp_rejects_an_empty_stack():
         T.mlp([], T.const(np.ones((N, C))))
 
 
+# --- pooled mlp: a set abstraction, max over each neighbourhood, as one op ---
+
+pooled = functools.partial(T.mlp, pool=True)
+
+
+def _per_edge(part):
+    return part.ndim == 3 and part.shape[1] == K
+
+
+def _pool_inputs(layout, depth, case, seed=0):
+    """A stack over a layout's parts, made to hit a pooling corner: "ties"
+    gives each row's edges one per-edge input, so that the edges of a row
+    that share a neighbour give equal outputs (row 3's four edges, and two
+    edges of rows 0, 1 and 4); "zeros" moves the last bias far down, so that
+    the relu clamps whole columns to 0 ("ties" moves it up, so that the
+    tied maxima are positive); "nan" puts a NaN into one edge's
+    input, so that its row's maxima are NaN."""
+    layers, parts, nbr = _stack_inputs(layout, depth, seed)
+    w, b = layers[-1]
+    if case == "ties":
+        parts = [np.repeat(p[:, :1], K, axis=1) if _per_edge(p) else p
+                 for p in parts]
+        layers = layers[:-1] + [(w, b + 2.0 * np.abs(b).max() + 4.0)]
+    elif case == "zeros":
+        layers = layers[:-1] + [(w, b - 2.0 * np.abs(b).max() - 4.0)]
+    elif case == "nan":
+        parts = [p.copy() for p in parts]
+        parts[0][2, 1, 0] = np.nan
+    return layers, parts, nbr
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "zeros", "nan"])
+@pytest.mark.parametrize("relu_last", [True, False])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("layout", ["set_conv", "cost_volume"])
+def test_pooled_mlp_is_bit_identical_to_the_chain(layout, depth, relu_last,
+                                                 case):
+    layers, parts, nbr = _pool_inputs(layout, depth, case, seed=7)
+    out, loss, grads = _run_stack(pooled, layers, parts, nbr, relu_last)
+    want, want_loss, want_grads = _run_stack(pooled_chain, layers, parts, nbr,
+                                             relu_last)
+    assert out.shape == (N, C)
+    assert _bits(out) == _bits(want)
+    assert _bits(loss) == _bits(want_loss)
+    assert len(grads) == 2 * depth + len(parts)
+    for i, (g, wg) in enumerate(zip(grads, want_grads)):
+        assert _bits(g) == _bits(wg), i
+    eager = pooled([(T.const(w), T.const(b)) for w, b in layers],
+                   *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+    assert eager.tape is None
+    assert eager.data.tobytes() == out.tobytes()
+    # each case reaches its corner
+    edges = T.mlp([(T.const(w), T.const(b)) for w, b in layers],
+                  *[T.const(a) for a in parts], nbr=nbr,
+                  relu_last=relu_last).data
+    top = edges.max(axis=1, keepdims=True)
+    tied = (edges == top).sum(axis=1) > 1
+    if case == "ties":
+        assert (tied & (top[:, 0] > 0.0)).any()
+    elif case == "zeros" and relu_last:
+        assert (tied & (top[:, 0] == 0.0)).any()
+    elif case == "nan":
+        assert np.isnan(out).any() and not np.isnan(out).all()
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+def test_pooled_mlp_gradients_match_central_differences(relu_last):
+    layers, parts, nbr = _stack_inputs("set_conv", 2)
+    _, _, grads = _run_stack(pooled, layers, parts, nbr, relu_last)
+    arrays = [a for layer in layers for a in layer] + parts
+
+    def loss_at(i, v):
+        moved = list(arrays)
+        moved[i] = v
+        stack = list(zip(moved[0:4:2], moved[1:4:2]))
+        return _run_stack(pooled, stack, moved[4:], nbr, relu_last)[1]
+
+    for i, (x, g) in enumerate(zip(arrays, grads)):
+        assert grad_gap(g, finite_diff(lambda v: loss_at(i, v), x)) < 1e-4, i
+
+
+@pytest.mark.parametrize("relu_last", [True, False])
+def test_pooled_mlp_records_one_node_that_keeps_no_per_edge_array(relu_last):
+    layers, parts, nbr = _stack_inputs("set_conv", 3)
+    with T.Tape() as tp:
+        ts = params(*[a for layer in layers for a in layer])
+        pts = params(*parts, prefix="part")
+        pooled(_pairs(ts), *pts, nbr=nbr, relu_last=relu_last)
+    kinds = [node.kind for node in tp.nodes]
+    assert kinds.count("mlp") == 1 and set(kinds) == {"leaf", "mlp"}
+    assert tp.nodes[-1].shape == (N, C)
+    held = _closure_arrays(tp.nodes[-1].backward_fn)
+    # no per-edge output, hidden layer or relu mask: what it keeps per edge
+    # is its parts, by reference
+    assert all(any(a is p.data for p in pts) for a in held if a.ndim == 3)
+    hidden = {(N_REF, h) for h in HIDDEN}
+    assert not [a.shape for a in held if a.shape in hidden]
+    # the first argmax per output, in uint8, and the pooled relu mask
+    assert [(a.shape, a.dtype) for a in held if a.dtype.kind == "u"] == \
+        [((N, C), np.uint8)]
+    masks = [a.shape for a in held if a.dtype == bool]
+    assert masks == ([(N, C)] if relu_last else [])
+
+
+def test_an_eager_pooled_mlp_computes_no_argmax(monkeypatch):
+    layers, parts, nbr = _stack_inputs("set_conv", 2)
+    calls = []
+    first = T._first_argmax
+    monkeypatch.setattr(T, "_first_argmax",
+                        lambda *a: calls.append(1) or first(*a))
+    pooled([(T.const(w), T.const(b)) for w, b in layers],
+           *[T.const(a) for a in parts], nbr=nbr)
+    assert calls == []
+    _run_stack(pooled, layers, parts, nbr, True)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("nbr, parts", [
+    (None, [EDGE]),
+    (NBR[0], [(N_REF, 2)]),
+], ids=["no-table", "table-rank"])
+def test_pooled_mlp_needs_a_table_and_a_per_edge_output(nbr, parts):
+    rng = np.random.default_rng(0)
+    layer = [(T.const(rng.normal(size=(2, C))), T.const(np.zeros(C)))]
+    with pytest.raises(T.TensorError, match="pool needs an"):
+        pooled(layer, *[T.const(rng.normal(size=s)) for s in parts], nbr=nbr)
+
+
+def test_first_argmax_takes_the_first_maximum_and_the_first_nan():
+    x = np.array([[[1.0, 2.0], [3.0, 2.0], [3.0, -1.0]],
+                  [[0.0, -0.0], [-0.0, 0.0], [0.0, -5.0]]])
+    assert T._first_argmax(x, x.max(axis=1)).tolist() == [[1, 0], [0, 0]]
+    x[1, 2, 1] = np.nan
+    x[1, 1, 1] = np.nan
+    got = T._first_argmax(x, x.max(axis=1))
+    assert got.tolist() == x.argmax(axis=1).tolist() == [[1, 0], [0, 1]]
+    # k = 256 neighbours still fit an index in uint8
+    wide = np.zeros((1, 256, 1))
+    wide[0, 255, 0] = 1.0
+    assert T._first_argmax(wide, wide.max(axis=1)).tolist() == [[255]]
+
+
 # --- attend: the cost volume's attentive pooling as one op ---
 
 def attend_chain(u_layers, v_layers, *parts, nbr):
@@ -447,13 +592,14 @@ def _ragged_blocks(monkeypatch, layout, widths, step):
     return calls
 
 
-def _mlp_bits(layers, parts, nbr, relu_last):
+def _mlp_bits(layers, parts, nbr, relu_last, pool=False):
     """Eager output, taped output, loss and every weight, bias and part
-    gradient of one mlp, as bytes."""
-    out, loss, grads = _run_stack(T.mlp, layers, parts, nbr, relu_last)
-    eager = T.mlp([(T.const(w), T.const(b)) for w, b in layers],
-                  *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
-    return [eager.data.tobytes(), out.tobytes(), loss,
+    gradient of one mlp, pooled or not, as bytes."""
+    op = functools.partial(T.mlp, pool=pool)
+    out, loss, grads = _run_stack(op, layers, parts, nbr, relu_last)
+    eager = op([(T.const(w), T.const(b)) for w, b in layers],
+               *[T.const(a) for a in parts], nbr=nbr, relu_last=relu_last)
+    return [eager.data.tobytes(), out.tobytes(), np.float64(loss).tobytes(),
             *[g.tobytes() for g in grads]]
 
 
@@ -468,21 +614,34 @@ def _attend_bits(u, v, parts, nbr):
             *[g.tobytes() for g in grads]]
 
 
+# the layouts with a table also run pooled, as "<layout>-pool"
+BLOCK_LAYOUTS = [pytest.param(layout, pool, id=layout + "-pool" * pool)
+                 for layout in ["set_conv", "cost_volume", "centre_first",
+                                "point_first", "rows", "per_edge_hidden"]
+                 for pool in (False, True)
+                 if not pool or LAYOUTS[layout][1] is not None]
+
+
 @pytest.mark.parametrize("step", [4, 5], ids=["ragged-2", "ragged-1"])
 @pytest.mark.parametrize("relu_last", [True, False])
 @pytest.mark.parametrize("depth", [1, 3])
-@pytest.mark.parametrize("layout", ["set_conv", "cost_volume", "centre_first",
-                                    "point_first", "rows", "per_edge_hidden"])
+@pytest.mark.parametrize("layout, pool", BLOCK_LAYOUTS)
 def test_mlp_in_row_blocks_is_bit_identical_to_one_block(
-        monkeypatch, layout, depth, relu_last, step):
-    # per-edge, per-centre, gathered and width-1 parts with the table, and
-    # per-row (with a width-1 part) and per-edge parts without it
+        monkeypatch, layout, pool, depth, relu_last, step):
+    # per-edge, per-centre, gathered and width-1 parts with the table,
+    # pooled or not, and per-row (with a width-1 part) and per-edge parts
+    # without it
     layers, parts, nbr = _stack_inputs(layout, depth, seed=4)
+    if pool:
+        # ties across a block's rows and a NaN in the last block's rows
+        parts = [np.repeat(p[:, :1], K, axis=1) if _per_edge(p) else p
+                 for p in parts]
+        next(p for p in parts if _per_edge(p))[N - 1, 2, 0] = np.nan
     monkeypatch.setattr(W, "BLOCK_ELEMS", ONE_BLOCK)
-    want = _mlp_bits(layers, parts, nbr, relu_last)
+    want = _mlp_bits(layers, parts, nbr, relu_last, pool)
     calls = _ragged_blocks(monkeypatch, layout,
                            [w.shape[1] for w, _ in layers], step)
-    assert _mlp_bits(layers, parts, nbr, relu_last) == want
+    assert _mlp_bits(layers, parts, nbr, relu_last, pool) == want
     # the taped forward, the backward's recompute of the hidden layers (at
     # depth > 1) and the eager forward, each in a block of step rows and a
     # ragged one; the stack's backward runs on this thread alone.  A per-row

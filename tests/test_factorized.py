@@ -4,11 +4,14 @@ oracle, its width check, and the absence of concats on the tape.
 The oracles below build the (n, k, width) or (n, width) concat each site
 would otherwise build and run the whole MLP on it as one part, mlp(x).  The
 factorized sites sum the same products in another order, so they agree to
-rounding, not bit for bit.
+rounding, not bit for bit.  set_conv and set_upconv pool inside their
+T.mlp op; their oracles max-pool the concat form's output with conftest's
+reduce_max.
 """
 import numpy as np
 import pytest
 
+from conftest import reduce_max
 from lidom import costvol as C
 from lidom import pcops as P
 from lidom import tensor as T
@@ -39,7 +42,7 @@ def set_conv_concat(coords, feats, centers, k, mlp):
     parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
     if feats is not None:
         parts += [T.gather_rows(feats, nbr), T.gather_rows(feats, ctr)]
-    return T.reduce_max(mlp(concat(parts)), axis=1)
+    return reduce_max(mlp(concat(parts)), axis=1)
 
 
 def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
@@ -48,7 +51,7 @@ def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
     rel = T.sub(T.gather_rows(sparse_coords, nbr),
                 T.gather_rows(dense_coords, ctr))
     x = concat([rel, T.gather_rows(sparse_feats, nbr)])
-    pooled = T.reduce_max(mlp1(x), axis=1)
+    pooled = reduce_max(mlp1(x), axis=1)
     return mlp2(concat([pooled, dense_feats]))
 
 

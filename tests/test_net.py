@@ -220,21 +220,27 @@ def _check_taped_pair_nodes(monkeypatch, mode):
     handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
     cvs = _counting(monkeypatch, CostVolume, "__call__")
+    convs = _counting(monkeypatch, lidom.net, "set_conv")
+    upconvs = _counting(monkeypatch, lidom.headmask, "set_upconv")
     net = OdometryNet(desk_config(cost_volume_mode=mode))
     tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_fc = sum(len(fc.layers) for fc, *_ in fcs)
-    assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
+    # each set_conv and set_upconv pools its first MLP inside one mlp node,
+    # which takes that SharedMLP's tensors without calling it
+    pools = len(convs) + len(upconvs)
+    assert kinds.count("mlp") == len(mlps) + pools + n_fc
+    assert len(mlps) > 0 < n_fc and len(convs) > 0 < len(upconvs)
     # an attentive cost volume is two attend nodes, one per stage, and each
     # of them takes the tensors of two SharedMLPs, u and v, that record no
     # mlp node; a uniform stage is its v's mlp node, a sum and a mul
     attends = 2 * len(cvs) if mode == "attentive" else 0
     assert len(cvs) > 0 and kinds.count("attend") == attends
-    assert len(handed) == len(mlps) + 2 * attends
+    assert len(handed) == len(mlps) + pools + 2 * attends
     # the pair records every kind the op set has, attend only if attentive,
     # and no other
     ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
-           "softmax", "sum", "max", "reshape", "gather"}
+           "softmax", "sum", "reshape", "gather"}
     assert set(kinds) == ops | ({"attend"} if attends else set())
 
 
@@ -668,6 +674,67 @@ def test_a_forked_child_starts_its_own_helper_thread(tmp_path):
     for pid in pids:   # the parent's and the child's samplers
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+LOCKED_FORK_SCRIPT = """
+import os
+import sys
+import threading
+import warnings
+import numpy as np
+sys.path.insert(0, {src!r})
+import lidom.net as N
+import lidom.workers as W
+
+def poses(net):
+    rng = np.random.default_rng(0)
+    out = net.forward(rng.normal(size=(600, 3)), rng.normal(size=(600, 3)))
+    return b"".join(lv.q.data.tobytes() + lv.t.data.tobytes()
+                    for lv in out.levels)
+
+net = N.OdometryNet(N.desk_config())
+first = poses(net)
+# another thread holds the sampler's lock, as it does with a pc2 request
+# in flight, when this thread forks
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    with W.SAMPLER._lock:
+        held.set()
+        release.wait(timeout=60)
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait(timeout=60)
+with warnings.catch_warnings():  # forking with a thread running is the test
+    warnings.simplefilter("ignore", DeprecationWarning)
+    pid = os.fork()
+if pid == 0:
+    # the child's lock is its own, so its forward sends pc2 to a sampler
+    # of its own instead of sampling in process
+    ok = False
+    try:
+        ok = poses(net) == first and W.SAMPLER._proc is not None
+        W.SAMPLER.close()
+    finally:
+        os._exit(0 if ok else 1)
+_, status = os.waitpid(pid, 0)
+release.set()
+holder.join()
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_a_child_forked_while_the_sampler_lock_is_held_starts_a_sampler(
+        tmp_path):
+    src = Path(lidom.net.__file__).resolve().parents[1]
+    script = tmp_path / "fork_locked.py"
+    script.write_text(textwrap.dedent(
+        LOCKED_FORK_SCRIPT.format(src=str(src))))
+    run = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                          str(script)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
 
 
 NO_FORWARD_FORK_SCRIPT = """

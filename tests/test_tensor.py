@@ -118,17 +118,25 @@ def test_grad_reduce_sum_axis():
                  chain=lambda y: T.mul(y, y))
 
 
-def test_grad_reduce_max_axis():
-    x = np.random.default_rng(15).normal(size=(4, 5))
-    _check_unary(lambda t: T.reduce_max(t, axis=1), x,
-                 chain=lambda y: T.mul(y, y))
+def _max_pool(t):
+    """The max over axis 1 of an (n, k, c) tensor, as a pooled mlp whose one
+    layer passes its per-edge part through (weight I, bias 0, no relu)."""
+    n, k, c = t.shape
+    layer = [(T.const(np.eye(c)), T.const(np.zeros(c)))]
+    return T.mlp(layer, t, nbr=np.zeros((n, k), dtype=np.int64),
+                 relu_last=False, pool=True)
 
 
-def test_reduce_max_tie_gradient_goes_to_first():
+def test_grad_pooled_mlp_axis():
+    x = np.random.default_rng(15).normal(size=(4, 5, 2))
+    _check_unary(_max_pool, x, chain=lambda y: T.mul(y, y))
+
+
+def test_pooled_mlp_tie_gradient_goes_to_first():
     with T.Tape() as tp:
-        t = T.Parameter("t", np.array([[2.0, 5.0, 5.0, 1.0]]))
-        loss = T.reduce_sum(T.reduce_max(t, axis=1))
-    assert tp.backward(loss)["t"].tolist() == [[0.0, 1.0, 0.0, 0.0]]
+        t = T.Parameter("t", np.array([[[2.0], [5.0], [5.0], [1.0]]]))
+        loss = T.reduce_sum(_max_pool(t))
+    assert tp.backward(loss)["t"].ravel().tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def _check_gather(x, idx):
@@ -233,6 +241,24 @@ def test_a_tensor_listed_twice_gets_its_gradients_in_parent_order():
     first, second = tp.nodes[y.nid].parents[-2:]
     assert first == second and tp.nodes[first].kind == "leaf"
     assert tp.backward(loss)["a"].tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)],
+                         ids=["0-d", "1", "1x1"])
+def test_item_reads_a_one_element_tensor_of_any_shape(shape):
+    t = T.const(np.full(shape, 2.5))
+    assert t.item() == 2.5 and type(t.item()) is float
+    # Tape.backward takes such a root, and a loss is read through item()
+    with T.Tape() as tp:
+        w = T.Parameter("w", np.full(shape, 3.0))
+        loss = T.mul(w, w)
+    assert loss.item() == 9.0
+    assert tp.backward(loss)["w"].tolist() == np.full(shape, 6.0).tolist()
+
+
+def test_item_of_more_than_one_element_raises():
+    with pytest.raises(T.TensorError, match=r"one element, got shape \(2,\)"):
+        T.const(np.ones(2)).item()
 
 
 def test_backward_non_scalar_root_raises():
