@@ -258,16 +258,17 @@ class SharedMLP:
                              f"first layer's {rows} rows")
         return self.layers
 
-    def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None
-                 ) -> T.Tensor:
+    def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None,
+                 pool: bool = False) -> T.Tensor:
         """The MLP over input rows that concat `parts` in order, without
         building the concat, as one T.mlp op: the first layer runs over the
         parts (with the (n, k) table nbr a rank-2 part is per reference
         point and gathered by it), each later layer over the one before.
-        Equals the MLP on the concat up to summation order.
+        Equals the MLP on the concat up to summation order.  With pool, the
+        (n, c) max over each row's k neighbours (T.mlp's pool).
         """
         return T.mlp(self.tensors(*parts), *parts, nbr=nbr,
-                     relu_last=self.relu_last)
+                     relu_last=self.relu_last, pool=pool)
 
 
 class FcStack:
@@ -312,9 +313,7 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     if feats is not None:
         ctr_f = T.gather_rows(feats, center_idx)
         parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
-    pooled = T.mlp(mlp.tensors(*parts), *parts, nbr=nbr,
-                   relu_last=mlp.relu_last, pool=True)
-    return out_coords, pooled
+    return out_coords, mlp(*parts, nbr=nbr, pool=True)
 
 
 def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
@@ -331,6 +330,4 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
     MLP on (pooled features, the dense point's own features).
     """
     rel = _offsets(sparse_coords, nbr, dense_coords)
-    pooled = T.mlp(mlp1.tensors(rel, sparse_feats), rel, sparse_feats,
-                   nbr=nbr, relu_last=mlp1.relu_last, pool=True)
-    return mlp2(pooled, dense_feats)
+    return mlp2(mlp1(rel, sparse_feats, nbr=nbr, pool=True), dense_feats)

@@ -572,19 +572,6 @@ def _stack_item(item: list) -> None:
     item[:] = [_stack_backward(item.pop(0), stack, ins, need)]
 
 
-def _first_argmax(x: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """x.argmax(axis=1) of an (n, k, c) block whose max over axis 1 is
-    top, in the narrowest unsigned type: k minus the max of k..1 over the
-    entries equal to their column's max, so the first on ties.  A NaN max
-    matches nothing, so a block with one takes argmax's first NaN."""
-    k = x.shape[1]
-    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    hit = np.multiply(x == top[:, None, :], rank, dtype=rank.dtype).max(axis=1)
-    if not hit.all():
-        return x.argmax(axis=1)
-    return k - hit
-
-
 def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
         relu_last: bool = True, pool: bool = False) -> Tensor:
     """The (weight, bias) layers one after another as one op: the first is
@@ -646,9 +633,9 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
 
         def block(rows):
             last = _forward(stack, srcs, rows, relu_last, [None] * len(layers))
-            top = last.max(axis=1, out=out[rows])
+            last.max(axis=1, out=out[rows])
             if arg is not None:
-                arg[rows] = _first_argmax(last, top)
+                arg[rows] = np.argmax(last, axis=1)
 
         W.each(block, _blocks(stack))
     else:

@@ -376,9 +376,9 @@ def test_pooled_mlp_records_one_node_that_keeps_no_per_edge_array(relu_last):
 def test_an_eager_pooled_mlp_computes_no_argmax(monkeypatch):
     layers, parts, nbr = _stack_inputs("set_conv", 2)
     calls = []
-    first = T._first_argmax
-    monkeypatch.setattr(T, "_first_argmax",
-                        lambda *a: calls.append(1) or first(*a))
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax",
+                        lambda *a, **kw: calls.append(1) or argmax(*a, **kw))
     pooled([(T.const(w), T.const(b)) for w, b in layers],
            *[T.const(a) for a in parts], nbr=nbr)
     assert calls == []
@@ -395,20 +395,6 @@ def test_pooled_mlp_needs_a_table_and_a_per_edge_output(nbr, parts):
     layer = [(T.const(rng.normal(size=(2, C))), T.const(np.zeros(C)))]
     with pytest.raises(T.TensorError, match="pool needs an"):
         pooled(layer, *[T.const(rng.normal(size=s)) for s in parts], nbr=nbr)
-
-
-def test_first_argmax_takes_the_first_maximum_and_the_first_nan():
-    x = np.array([[[1.0, 2.0], [3.0, 2.0], [3.0, -1.0]],
-                  [[0.0, -0.0], [-0.0, 0.0], [0.0, -5.0]]])
-    assert T._first_argmax(x, x.max(axis=1)).tolist() == [[1, 0], [0, 0]]
-    x[1, 2, 1] = np.nan
-    x[1, 1, 1] = np.nan
-    got = T._first_argmax(x, x.max(axis=1))
-    assert got.tolist() == x.argmax(axis=1).tolist() == [[1, 0], [0, 1]]
-    # k = 256 neighbours still fit an index in uint8
-    wide = np.zeros((1, 256, 1))
-    wide[0, 255, 0] = 1.0
-    assert T._first_argmax(wide, wide.max(axis=1)).tolist() == [[255]]
 
 
 # --- attend: the cost volume's attentive pooling as one op ---

@@ -220,23 +220,17 @@ def _check_taped_pair_nodes(monkeypatch, mode):
     handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
     cvs = _counting(monkeypatch, CostVolume, "__call__")
-    convs = _counting(monkeypatch, lidom.net, "set_conv")
-    upconvs = _counting(monkeypatch, lidom.headmask, "set_upconv")
     net = OdometryNet(desk_config(cost_volume_mode=mode))
     tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_fc = sum(len(fc.layers) for fc, *_ in fcs)
-    # each set_conv and set_upconv pools its first MLP inside one mlp node,
-    # which takes that SharedMLP's tensors without calling it
-    pools = len(convs) + len(upconvs)
-    assert kinds.count("mlp") == len(mlps) + pools + n_fc
-    assert len(mlps) > 0 < n_fc and len(convs) > 0 < len(upconvs)
+    assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
     # an attentive cost volume is two attend nodes, one per stage, and each
     # of them takes the tensors of two SharedMLPs, u and v, that record no
     # mlp node; a uniform stage is its v's mlp node, a sum and a mul
     attends = 2 * len(cvs) if mode == "attentive" else 0
     assert len(cvs) > 0 and kinds.count("attend") == attends
-    assert len(handed) == len(mlps) + pools + 2 * attends
+    assert len(handed) == len(mlps) + 2 * attends
     # the pair records every kind the op set has, attend only if attentive,
     # and no other
     ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
