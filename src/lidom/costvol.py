@@ -72,7 +72,7 @@ class CostVolume:
         if u is None:
             return T.mul(T.reduce_sum(v(*parts, nbr=nbr), axis=1),
                          T.const(1.0 / k))
-        return T.attend(u.tensors(*parts), v.tensors(*parts), *parts, nbr=nbr)
+        return T.attend(u.layers, v.layers, *parts, nbr=nbr)
 
     def __call__(self, coords1: T.Tensor, feats1: T.Tensor,
                  coords2: T.Tensor, feats2: T.Tensor) -> T.Tensor:

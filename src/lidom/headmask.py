@@ -40,16 +40,16 @@ def pose_head(embedding: T.Tensor, mask: T.Tensor | None, fc_q: FcStack,
               fc_t: FcStack) -> tuple[T.Tensor, T.Tensor]:
     """Weighted-sum pooling, then q = normalize(FC(pooled)), t = FC(pooled).
 
-    Without a mask the pooling is a plain per-channel mean.
+    Without a mask the pooling is a plain per-channel mean; both keep (1, c).
     """
     if mask is None:
         n = embedding.shape[0]
-        pooled = T.mul(T.reduce_sum(embedding, axis=0), T.const(1.0 / n))
+        pooled = T.mul(T.reduce_sum(embedding, axis=0, keepdims=True),
+                       T.const(1.0 / n))
     else:
-        pooled = T.reduce_sum(T.mul(embedding, mask), axis=0)
-    row = T.reshape(pooled, (1, pooled.shape[0]))
-    q = quat_normalize_t(T.reshape(fc_q(row), (4,)))
-    t = T.reshape(fc_t(row), (3,))
+        pooled = T.reduce_sum(T.mul(embedding, mask), axis=0, keepdims=True)
+    q = quat_normalize_t(T.reshape(fc_q(pooled), (4,)))
+    t = T.reshape(fc_t(pooled), (3,))
     return q, t
 
 

@@ -233,13 +233,7 @@ class OdometryNet:
         return out
 
     def forward(self, pc1: np.ndarray, pc2: np.ndarray) -> NetOutput:
-        pc1 = np.asarray(pc1, dtype=np.float64)
-        pc2 = np.asarray(pc2, dtype=np.float64)
-        for name, pc in (("pc1", pc1), ("pc2", pc2)):
-            if pc.ndim != 2 or pc.shape[1] != 3 or pc.shape[0] < 1:
-                raise NetError(f"{name}: expected nonempty (n, 3) points")
-            if not np.isfinite(pc).all():
-                raise NetError(f"{name}: non-finite coordinates")
+        pc1, pc2 = _cloud("pc1", pc1), _cloud("pc2", pc2)
         rng = np.random.default_rng(0)
         cfg = self.cfg
         sub1 = pc1[random_sample(pc1.shape[0], cfg.n_input, rng)]
@@ -286,6 +280,37 @@ class OdometryNet:
                 levels.append(LevelOutput(level, p1.coords[idx].data,
                                           q, t, emb, mask))
         return NetOutput(levels)
+
+
+# squared distances between points of clouds within +-_MAX_COORD are at
+# most 3 * (2 * _MAX_COORD)**2, the largest float64; an extent below
+# _MIN_EXTENT squares to less than the smallest normal one
+_MAX_COORD = np.sqrt(np.finfo(np.float64).max / 12.0)
+_MIN_EXTENT = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _cloud(name: str, pc) -> np.ndarray:
+    """pc as float64 points; a NetError naming the cloud unless it is a
+    nonempty (n, 3) array of finite real numbers whose largest coordinate
+    and extent keep squared distances in float64's normal range (an extent
+    of 0, one distinct point, is exact and left to sampling to reject)."""
+    pc = np.asarray(pc)
+    if pc.dtype.kind not in "iuf":
+        raise NetError(f"{name}: coordinates must be real numbers, "
+                       f"got {pc.dtype}")
+    pc = pc.astype(np.float64, copy=False)
+    if pc.ndim != 2 or pc.shape[1] != 3 or pc.shape[0] < 1:
+        raise NetError(f"{name}: expected nonempty (n, 3) points")
+    if not np.isfinite(pc).all():
+        raise NetError(f"{name}: non-finite coordinates")
+    if np.abs(pc).max() > _MAX_COORD:
+        raise NetError(f"{name}: coordinates beyond {_MAX_COORD:.3g} "
+                       f"overflow squared distances")
+    extent = np.ptp(pc, axis=0).max()
+    if 0.0 < extent < _MIN_EXTENT:
+        raise NetError(f"{name}: an extent of {extent:.3g} underflows "
+                       f"squared distances")
+    return pc
 
 
 def _named(name: str, tables, *args):

@@ -247,17 +247,6 @@ class SharedMLP:
         self.layers = _layers(store, prefix, [in_width, *widths], rng, 2)
         self.relu_last = relu_last
 
-    def tensors(self, *parts: T.Tensor) -> list[tuple[T.Tensor, T.Tensor]]:
-        """Each layer's (weight, bias) parameters, for an op over input rows
-        that concat `parts` in order; raises PcopsError unless the parts'
-        widths sum to the first layer's rows."""
-        widths = [p.shape[-1] for p in parts]
-        rows = self.layers[0][0].value.shape[0]
-        if sum(widths) != rows:
-            raise PcopsError(f"input widths {widths} do not sum to the "
-                             f"first layer's {rows} rows")
-        return self.layers
-
     def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None,
                  pool: bool = False) -> T.Tensor:
         """The MLP over input rows that concat `parts` in order, without
@@ -267,7 +256,7 @@ class SharedMLP:
         Equals the MLP on the concat up to summation order.  With pool, the
         (n, c) max over each row's k neighbours (T.mlp's pool).
         """
-        return T.mlp(self.tensors(*parts), *parts, nbr=nbr,
+        return T.mlp(self.layers, *parts, nbr=nbr,
                      relu_last=self.relu_last, pool=pool)
 
 
@@ -305,14 +294,12 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     is (neighbor - center, neighbor features, center features); its first
     layer runs factorized (T.mlp with nbr): offsets per edge, neighbor
     features projected once per input point and gathered, center features
-    projected once per center.  Returns (center coords, features).
+    (m, 1, c), projected once per center.  Returns (center coords, features).
     """
     out_coords = T.gather_rows(coords, center_idx)
-    m = out_coords.shape[0]
     parts = [_offsets(coords, nbr, out_coords)]
     if feats is not None:
-        ctr_f = T.gather_rows(feats, center_idx)
-        parts += [feats, T.reshape(ctr_f, (m, 1, ctr_f.shape[1]))]
+        parts += [feats, T.gather_rows(feats, center_idx[:, None])]
     return out_coords, mlp(*parts, nbr=nbr, pool=True)
 
 

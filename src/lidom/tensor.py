@@ -35,13 +35,13 @@ no tape, and the op records its node on its caller's thread afterwards, so
 every output and gradient keeps the bits of one thread.
 
 The op set is exactly what the odometry network needs: broadcasting
-elementwise arithmetic, sqrt, matmul of a rank 2 or 3 array by a rank-2
-matrix, mlp (a stack of layers relu?(concat(parts) @ w + b) as one op: a
-shared MLP, or one layer of an FC stack; pooled, a set abstraction, the max
-of a shared MLP over each neighbourhood), attend (a neighbourhood's
-softmax-weighted sum of one mlp stack's outputs, weights from another, as
-one op: an attentive cost-volume stage), axis softmax, sum reductions,
-reshape, and row gathers with scatter-add gradients.
+elementwise arithmetic, sqrt, matmul of two rank-2 arrays, mlp (a stack of
+layers relu?(concat(parts) @ w + b) as one op: a shared MLP, or one layer
+of an FC stack; pooled, a set abstraction, the max of a shared MLP over each
+neighbourhood), attend (a neighbourhood's softmax-weighted sum of one mlp
+stack's outputs, weights from another, as one op: an attentive cost-volume
+stage), axis softmax, sum reductions, reshape, and row gathers with
+scatter-add gradients.
 Everything is double precision end to end.
 """
 from __future__ import annotations
@@ -341,23 +341,16 @@ def sqrt(a: Tensor) -> Tensor:
 # --- matmul ---
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., k) @ (k, n) for a of rank 2 or 3 and a rank-2 b (a weight or a
-    constant map), so b's gradient is one GEMM over a's flattened rows.
-
-    The network multiplies rank 2 only.  The rank-3 case stays for the
-    tests' op-chain oracle of mlp: np.matmul on an (n, k, w) array does not
-    always give the bits of the same product over its (n * k, w) rows."""
+    """(m, k) @ (k, n) of two rank-2 arrays: geom's pose algebra."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim != 2:
-        raise TensorError(f"matmul: needs ranks 2 or 3 by 2, "
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise TensorError(f"matmul: needs two rank-2 arrays, "
                           f"got {ad.shape} and {bd.shape}")
-    k, n = bd.shape
-    if ad.shape[-1] != k:
+    if ad.shape[1] != bd.shape[0]:
         raise TensorError(
             f"matmul: inner dimensions differ, {ad.shape} vs {bd.shape}")
-    return _binary("matmul", a, b, np.matmul(ad, bd),
-                   lambda g: np.matmul(g, bd.T),
-                   lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n))
+    return _binary("matmul", a, b, ad @ bd, lambda g: g @ bd.T,
+                   lambda g: ad.T @ g)
 
 
 def _project(pd: np.ndarray, wj: np.ndarray, out=None) -> np.ndarray:
@@ -369,17 +362,17 @@ def _project(pd: np.ndarray, wj: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(pd, wj, out=out)
 
 
-def _layer_plan(wd: np.ndarray, bd: np.ndarray,
+def _layer_plan(op: str, wd: np.ndarray, bd: np.ndarray,
                 part_shapes: list[tuple[int, ...]], nbr) -> tuple:
-    """Check one layer's weight, bias, part shapes and table; return
-    (bounds, gathered, proj_shapes, out_shape, bias_at, nbr), all that its
-    forward and backward need besides the arrays."""
+    """Check one layer's weight, bias, part shapes and table, naming op in
+    any error; return (bounds, gathered, proj_shapes, out_shape, bias_at,
+    nbr), all that its forward and backward need besides the arrays."""
     widths = [s[-1] for s in part_shapes]
     if wd.ndim != 2 or sum(widths) != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise TensorError(f"mlp: parts of widths {widths} and bias "
+        raise TensorError(f"{op}: parts of widths {widths} and bias "
                           f"{bd.shape} do not fit weight {wd.shape}")
     if any(len(s) not in (2, 3) for s in part_shapes):
-        raise TensorError("mlp: parts must have rank 2 or 3")
+        raise TensorError(f"{op}: parts must have rank 2 or 3")
     c = wd.shape[1]
     gathered = [nbr is not None and len(s) == 2 for s in part_shapes]
     shapes = [nbr.shape + (c,) if gat else s[:-1] + (c,)
@@ -387,11 +380,11 @@ def _layer_plan(wd: np.ndarray, bd: np.ndarray,
     try:
         shape = np.broadcast_shapes(*shapes)
     except ValueError:
-        raise TensorError(f"mlp: part rows {[s[:-1] for s in shapes]} "
+        raise TensorError(f"{op}: part rows {[s[:-1] for s in shapes]} "
                           f"do not broadcast") from None
     for s, gat in zip(part_shapes, gathered):
         if gat:
-            _check_rows("mlp", nbr, s[0])
+            _check_rows(op, nbr, s[0])
     bias_at = next((j for j, s in enumerate(part_shapes) if len(s) == 2),
                    None)
     return np.cumsum([0] + widths), gathered, shapes, shape, bias_at, nbr
@@ -459,9 +452,9 @@ def _stack(op: str, layers, shapes: list, nbr) -> tuple[list, list, list]:
         raise TensorError(f"{op}: needs at least one layer")
     ws, bs = [w.data for w, _ in layers], [b.data for _, b in layers]
     plans = []
-    for i, (wd, bd) in enumerate(zip(ws, bs)):
-        plans.append(_layer_plan(wd, bd, shapes, nbr if i == 0 else None))
-        shapes = [plans[-1][3]]
+    for wd, bd in zip(ws, bs):
+        plans.append(_layer_plan(op, wd, bd, shapes, nbr))
+        shapes, nbr = [plans[-1][3]], None
     return ws, bs, plans
 
 

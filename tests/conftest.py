@@ -1,5 +1,6 @@
-"""Shared oracles: central-difference gradients, comparison helpers and the
-op chain that a pooled T.mlp equals."""
+"""Shared oracles: central-difference gradients, comparison helpers, a
+rank-3 matmul for the op chains that T.mlp and T.attend equal, and the op
+chain that a pooled T.mlp equals."""
 from __future__ import annotations
 
 import numpy as np
@@ -42,6 +43,22 @@ def params(*arrays, prefix: str = "x") -> list:
     gradients only, so a test takes an input's gradient by making the input
     a parameter and reading its name from Tape.backward's map."""
     return [T.Parameter(f"{prefix}{i}", a) for i, a in enumerate(arrays)]
+
+
+def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """(..., k) @ (k, n) for a of rank 2 or 3 and a rank-2 b, as a tape node
+    of its own, "matmul"; b's gradient is one GEMM over a's flattened rows.
+    T.matmul takes rank 2 only, and np.matmul on an (n, k, w) array does not
+    always give the bits of the same product over its (n * k, w) rows, so
+    the op-chain oracles multiply their rank-3 parts here."""
+    ad, bd = a.data, b.data
+    assert ad.ndim in (2, 3) and bd.ndim == 2 and ad.shape[-1] == bd.shape[0]
+    k, n = bd.shape
+
+    def back(g):
+        return np.matmul(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, n)
+
+    return T._make("matmul", (a, b), np.matmul(ad, bd), back)
 
 
 def reduce_max(a: T.Tensor, axis: int) -> T.Tensor:

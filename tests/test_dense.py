@@ -3,8 +3,9 @@ shared MLPs, and T.attend, a cost-volume stage as one op: finite-difference
 gradients for every kind of part, and bit-identity with the op chains they
 replaced.
 
-The oracle for one layer, `layer_chain`, is that chain: per part a matmul by
-the weight's row block cut out with gather_rows, the bias added once, then
+The oracle for one layer, `layer_chain`, is that chain: per part a matmul
+(conftest's, which takes rank-3 parts) by the weight's row block cut out
+with gather_rows, the bias added once, then
 relu as a * (a > 0).  mlp sums the same products in the same order, so
 outputs and every gradient agree bit for bit, except that its in-place relu
 writes +0.0 where a * (a > 0) gave -0.0 for a negative input; `_bits`
@@ -24,7 +25,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import finite_diff, grad_gap, params, pooled_chain
+from conftest import finite_diff, grad_gap, matmul, params, pooled_chain
 from lidom import tensor as T
 from lidom import workers as W
 
@@ -53,7 +54,7 @@ def layer_chain(w, b, *parts, nbr=None, relu=True):
     x, lo, bias = None, 0, b
     for part in parts:
         width = part.shape[-1]
-        proj = T.matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
+        proj = matmul(part, T.gather_rows(w, np.arange(lo, lo + width)))
         if part.data.ndim == 2:
             if bias is not None:
                 proj, bias = T.add(proj, bias), None

@@ -11,7 +11,7 @@ reduce_max.
 import numpy as np
 import pytest
 
-from conftest import reduce_max
+from conftest import matmul, reduce_max
 from lidom import costvol as C
 from lidom import pcops as P
 from lidom import tensor as T
@@ -22,14 +22,15 @@ TOL = 1e-12
 
 def concat(parts):
     """The concat of parts along their last axis, as the sum of
-    matmul(part, E) with 0/1 placement matrices E: exact for finite
-    values, and no concat op on the tape."""
+    matmul(part, E) with 0/1 placement matrices E (conftest's matmul, which
+    takes rank-3 parts): exact for finite values, and no concat op on the
+    tape."""
     widths = [p.shape[-1] for p in parts]
     x, lo = None, 0
     for part, width in zip(parts, widths):
         place = np.zeros((width, sum(widths)))
         place[np.arange(width), lo + np.arange(width)] = 1.0
-        term = T.matmul(part, T.const(place))
+        term = matmul(part, T.const(place))
         x = term if x is None else T.add(x, term)
         lo += width
     return x
@@ -197,10 +198,12 @@ def test_set_conv_rejects_features_narrower_than_its_mlp():
     centers, nbr = P.farthest_point_sample(coords, 6, 4)
     P.set_conv(T.const(coords), T.const(rng.normal(size=(20, 5))),
                centers, nbr, mlp)
-    with pytest.raises(P.PcopsError, match=r"\[3, 4, 4\] do not sum to .* 13"):
+    with pytest.raises(T.TensorError, match=r"^mlp: parts of widths "
+                       r"\[3, 4, 4\] .* do not fit weight \(13, 6\)$"):
         P.set_conv(T.const(coords), T.const(rng.normal(size=(20, 4))),
                    centers, nbr, mlp)
-    with pytest.raises(P.PcopsError, match="do not sum"):
+    with pytest.raises(T.TensorError, match=r"^mlp: parts of widths \[3\] "
+                       r".* do not fit weight \(13, 6\)$"):
         P.set_conv(T.const(coords), None, centers, nbr, mlp)
 
 
@@ -215,7 +218,8 @@ def test_set_upconv_rejects_sparse_features_of_the_wrong_width():
     P.set_upconv(T.const(dense), dense_f, T.const(sparse),
                  T.const(rng.normal(size=(5, 4))), nbr, mlp1, mlp2)
     for width in (3, 5):
-        with pytest.raises(P.PcopsError, match="do not sum"):
+        with pytest.raises(T.TensorError, match=rf"^mlp: parts of widths "
+                           rf"\[3, {width}\] .* do not fit weight \(7, 6\)$"):
             P.set_upconv(T.const(dense), dense_f, T.const(sparse),
                          T.const(rng.normal(size=(5, width))), nbr,
                          mlp1, mlp2)
@@ -226,8 +230,12 @@ def test_cost_volume_rejects_features_of_the_wrong_width():
     p1, p2 = rng.normal(size=(10, 3)), rng.normal(size=(12, 3))
     store = T.ParamStore()
     cv = C.CostVolume(store, "cv", 5, 3, 3, np.random.default_rng(0))
+    # both stages are attend ops, and the first takes (offsets, distances,
+    # first-cloud features, second-cloud features)
     for w1, w2 in ((4, 5), (5, 4), (4, 4)):
-        with pytest.raises(P.PcopsError, match="do not sum"):
+        with pytest.raises(T.TensorError, match=rf"^attend: parts of widths "
+                           rf"\[3, 1, {w1}, {w2}\] .* do not fit weight "
+                           rf"\(14, 5\)$"):
             cv(T.const(p1), T.const(rng.normal(size=(10, w1))),
                T.const(p2), T.const(rng.normal(size=(12, w2))))
 

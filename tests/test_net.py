@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -56,13 +57,39 @@ def _train_step(net, pc1, pc2):
     return tape, out, loss, tape.backward(loss, net.store)
 
 
-def test_forward_rejects_a_nan_point():
+def _nan_point(pc):
+    pc = pc.copy()
+    pc[123, 1] = np.nan
+    return pc
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (_nan_point, "pc1: non-finite coordinates"),
+    # squared distances would overflow, or underflow to zero or subnormals
+    (lambda pc: pc * 1e160, r"pc1: coordinates beyond 3\.87e\+153 overflow"),
+    (lambda pc: pc * 1e-170, r"pc1: an extent of .*e-170 underflows"),
+    # not silently cast to float64: the real part, or 0/1
+    (lambda pc: pc.astype(complex), "pc1: .* real numbers, got complex128"),
+    (lambda pc: pc > 0.0, "pc1: .* real numbers, got bool"),
+], ids=["nan", "huge", "tiny", "complex", "bool"])
+def test_forward_rejects_a_nan_point(spoil, match):
     pc1, pc2 = _scans()
     net = OdometryNet(desk_config())
     net.forward(pc1, pc2)
-    pc1[123, 1] = np.nan
-    with pytest.raises(NetError, match="pc1"):
-        net.forward(pc1, pc2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetError, match=match):
+            net.forward(spoil(pc1), pc2)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_forward_takes_clouds_inside_float64s_edges(scale):
+    pc1, pc2 = _scans()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poses = _poses(OdometryNet(desk_config()).forward(pc1 * scale,
+                                                         pc2 * scale))
+    assert np.isfinite(poses).all()
 
 
 def test_forward_rejects_a_scan_with_fewer_distinct_points_than_level_1():
@@ -217,20 +244,24 @@ def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
 
 def _check_taped_pair_nodes(monkeypatch, mode):
     mlps = _counting(monkeypatch, SharedMLP, "__call__")
-    handed = _counting(monkeypatch, SharedMLP, "tensors")
     fcs = _counting(monkeypatch, FcStack, "__call__")
     cvs = _counting(monkeypatch, CostVolume, "__call__")
+    stacks = {op: _counting(monkeypatch, T, op) for op in ("mlp", "attend")}
     net = OdometryNet(desk_config(cost_volume_mode=mode))
     tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_fc = sum(len(fc.layers) for fc, *_ in fcs)
     assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
+    assert len(stacks["mlp"]) == len(mlps) + n_fc
     # an attentive cost volume is two attend nodes, one per stage, and each
-    # of them takes the tensors of two SharedMLPs, u and v, that record no
+    # of them takes the layers of two SharedMLPs, u and v, that record no
     # mlp node; a uniform stage is its v's mlp node, a sum and a mul
     attends = 2 * len(cvs) if mode == "attentive" else 0
     assert len(cvs) > 0 and kinds.count("attend") == attends
-    assert len(handed) == len(mlps) + 2 * attends
+    handed = sorted((id(u), id(v)) for u, v, *_ in stacks["attend"])
+    assert handed == sorted(
+        (id(u.layers), id(v.layers)) for cv, *_ in cvs if attends
+        for u, v in ((cv.u1, cv.v1), (cv.u2, cv.v2)))
     # the pair records every kind the op set has, attend only if attentive,
     # and no other
     ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
@@ -244,6 +275,19 @@ def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
 
 def test_a_uniform_taped_pair_records_no_attend_node(monkeypatch):
     _check_taped_pair_nodes(monkeypatch, "uniform")
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
+                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+def test_no_taped_node_only_reshapes_a_gather_or_a_sum(overrides):
+    # a gather takes any index shape and a sum keeps its axis on request,
+    # so each gives the shape its consumer reads without a reshape node
+    net = OdometryNet(desk_config(**overrides))
+    with T.Tape() as tape:
+        net.forward(*_scans())
+    reshaped = [tape.nodes[pid].kind for node in tape.nodes
+                if node.kind == "reshape" for pid in node.parents]
+    assert reshaped and not {"gather", "sum"} & set(reshaped)
 
 
 @pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],

@@ -1,10 +1,12 @@
 """Autodiff engine: per-op finite-difference checks, tape rules, checkpoints."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff, grad_gap, params
+from conftest import finite_diff, grad_gap, matmul, params
 from lidom import tensor as T
 from lidom.net import OdometryNet, desk_config
 
@@ -94,8 +96,9 @@ def test_grad_matmul_rank2():
 
 
 def test_grad_matmul_batched_shared_rhs():
+    # conftest's rank-3 matmul, the op-chain oracles' product
     rng = np.random.default_rng(11)
-    _check_binary(T.matmul, rng.normal(size=(5, 3, 4)), rng.normal(size=(4, 2)))
+    _check_binary(matmul, rng.normal(size=(5, 3, 4)), rng.normal(size=(4, 2)))
 
 
 def test_grad_softmax():
@@ -286,10 +289,15 @@ def test_matmul_shape_error_mentions_shapes():
         T.matmul(T.const(np.ones((2, 3))), T.const(np.ones((4, 2))))
 
 
-def test_matmul_rejects_a_rank3_right_hand_side():
-    # the right-hand side is always a weight or a constant map
-    with pytest.raises(T.TensorError, match=r"\(5, 4, 2\)"):
-        T.matmul(T.const(np.ones((5, 3, 4))), T.const(np.ones((5, 4, 2))))
+@pytest.mark.parametrize("a, b", [((5, 3, 4), (4, 2)), ((5, 3, 4), (5, 4, 2)),
+                                  ((4,), (4, 2)), ((3, 4), (4,))],
+                         ids=["rank3", "rank3_rhs", "rank1", "rank1_rhs"])
+def test_matmul_takes_rank2_operands_only(a, b):
+    # geom multiplies rank 2 only; mlp and attend multiply their parts
+    with pytest.raises(T.TensorError,
+                       match=rf"rank-2 .*{re.escape(str(a))} and "
+                             rf"{re.escape(str(b))}"):
+        T.matmul(T.const(np.ones(a)), T.const(np.ones(b)))
 
 
 def test_broadcast_error_mentions_op():
