@@ -18,7 +18,7 @@ over the neighborhood (an mlp, a sum and a mul by 1/k), which removes the
 learned attention while keeping the value path intact.
 
 Past the offsets and distances, each attentive stage is one T.attend op
-over u's and v's tensors.  It accumulates the weighted values in place,
+over u's and v's layers.  It accumulates the weighted values in place,
 and a taped stage keeps only the four parts, so no per-edge weight, value
 or product outlives the forward; its backward recomputes them.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .pcops import SharedMLP, _offsets, knn_indices
+from .pcops import _offsets, knn_indices, make_layers
 
 __all__ = ["CostVolume", "CostVolumeError"]
 
@@ -49,20 +49,17 @@ class CostVolume:
         if mode not in ("attentive", "uniform"):
             raise CostVolumeError(f"unknown cost-volume mode {mode!r}")
         self.k1, self.k2 = k1, k2
-        in_w, widths = 4 + 2 * width, [width, width]
-        self.v1 = SharedMLP(store, f"{prefix}/v1", in_w, widths, rng)
-        self.v2 = SharedMLP(store, f"{prefix}/v2", in_w, widths, rng)
-        self.u1: SharedMLP | None = None
-        self.u2: SharedMLP | None = None
+        dims = [4 + 2 * width, width, width]
+        self.v1 = make_layers(store, f"{prefix}/v1", dims, rng)
+        self.v2 = make_layers(store, f"{prefix}/v2", dims, rng)
+        self.u1 = self.u2 = None
         if mode == "attentive":
-            self.u1 = SharedMLP(store, f"{prefix}/u1", in_w, widths, rng,
-                                relu_last=False)
-            self.u2 = SharedMLP(store, f"{prefix}/u2", in_w, widths, rng,
-                                relu_last=False)
+            self.u1 = make_layers(store, f"{prefix}/u1", dims, rng)
+            self.u2 = make_layers(store, f"{prefix}/u2", dims, rng)
 
     def _attend(self, centers: T.Tensor, center_f: T.Tensor,
                 ref_coords: T.Tensor, ref_f: T.Tensor, nbr: np.ndarray,
-                u: SharedMLP | None, v: SharedMLP) -> T.Tensor:
+                u: list | None, v: list) -> T.Tensor:
         n, k = nbr.shape
         rel = _offsets(ref_coords, nbr, centers)
         dist = T.sqrt(T.add(T.reduce_sum(T.mul(rel, rel), axis=2, keepdims=True),
@@ -70,9 +67,9 @@ class CostVolume:
         parts = (rel, dist, T.reshape(center_f, (n, 1, center_f.shape[1])),
                  ref_f)
         if u is None:
-            return T.mul(T.reduce_sum(v(*parts, nbr=nbr), axis=1),
+            return T.mul(T.reduce_sum(T.mlp(v, *parts, nbr=nbr), axis=1),
                          T.const(1.0 / k))
-        return T.attend(u.layers, v.layers, *parts, nbr=nbr)
+        return T.attend(u, v, *parts, nbr=nbr)
 
     def __call__(self, coords1: T.Tensor, feats1: T.Tensor,
                  coords2: T.Tensor, feats2: T.Tensor) -> T.Tensor:

@@ -20,52 +20,64 @@ import numpy as np
 from . import tensor as T
 from .costvol import CostVolume
 from .geom import pose_compose_t, quat_normalize_t, rotate_points_t
-from .pcops import FcStack, SharedMLP, knn_indices, set_upconv
+from .pcops import knn_indices, set_upconv
 
 __all__ = ["make_mask", "pose_head", "RefineBlock", "warp_refine"]
 
 
 def make_mask(embedding: T.Tensor, feats: T.Tensor, prior: T.Tensor | None,
-              mlp: SharedMLP) -> T.Tensor:
+              layers: list) -> T.Tensor:
     """Per-channel point weighting; columns sum to one.
 
     Input rows are (embedding, prior, features) when a coarser-level prior is
-    present, (embedding, features) otherwise.
+    present, (embedding, features) otherwise.  The MLP's last layer is
+    linear (relu_last=False), the network's only such shared MLP: softmax
+    logits need signed outputs, and a relu there would starve the mask's
+    gradient wherever a channel's logits all clamp to zero.
     """
     parts = (embedding, feats) if prior is None else (embedding, prior, feats)
-    return T.softmax_axis(mlp(*parts), axis=0)
+    return T.softmax_axis(T.mlp(layers, *parts, relu_last=False), axis=0)
 
 
-def pose_head(embedding: T.Tensor, mask: T.Tensor | None, fc_q: FcStack,
-              fc_t: FcStack) -> tuple[T.Tensor, T.Tensor]:
+def pose_head(embedding: T.Tensor, mask: T.Tensor | None, fc_q: list,
+              fc_t: list) -> tuple[T.Tensor, T.Tensor]:
     """Weighted-sum pooling, then q = normalize(FC(pooled)), t = FC(pooled).
 
     Without a mask the pooling is a plain per-channel mean; both keep (1, c).
+    Each FC stack is linear, with no activation: each of its layers is a
+    one-layer T.mlp with relu_last off.
     """
+
+    def fc(layers, x):
+        for layer in layers:
+            x = T.mlp([layer], x, relu_last=False)
+        return x
+
     if mask is None:
         n = embedding.shape[0]
         pooled = T.mul(T.reduce_sum(embedding, axis=0, keepdims=True),
                        T.const(1.0 / n))
     else:
         pooled = T.reduce_sum(T.mul(embedding, mask), axis=0, keepdims=True)
-    q = quat_normalize_t(T.reshape(fc_q(pooled), (4,)))
-    t = T.reshape(fc_t(pooled), (3,))
+    q = quat_normalize_t(T.reshape(fc(fc_q, pooled), (4,)))
+    t = T.reshape(fc(fc_t, pooled), (3,))
     return q, t
 
 
 @dataclass
 class RefineBlock:
-    """Parameters for one refinement level."""
+    """Parameters for one refinement level: the cost volume, and one
+    make_layers list per MLP and FC stack."""
 
-    up_e1: SharedMLP
-    up_e2: SharedMLP
+    up_e1: list
+    up_e2: list
     cost_volume: CostVolume
-    refine_mlp: SharedMLP
-    fc_q: FcStack
-    fc_t: FcStack
-    mask_mlp: SharedMLP | None = None
-    up_m1: SharedMLP | None = None
-    up_m2: SharedMLP | None = None
+    refine_mlp: list
+    fc_q: list
+    fc_t: list
+    mask_mlp: list | None = None
+    up_m1: list | None = None
+    up_m2: list | None = None
 
 
 def warp_refine(blk: RefineBlock, coords1: T.Tensor, feats1: T.Tensor,
@@ -93,7 +105,7 @@ def warp_refine(blk: RefineBlock, coords1: T.Tensor, feats1: T.Tensor,
     if use_warp:
         warped = rotate_points_t(q_coarse, t_coarse, coords1)
     re = blk.cost_volume(warped, feats1, coords2, feats2)
-    emb = blk.refine_mlp(ce, re, feats1)
+    emb = T.mlp(blk.refine_mlp, ce, re, feats1)
     mask = None
     if blk.mask_mlp is not None:
         mask = make_mask(emb, feats1, cm, blk.mask_mlp)

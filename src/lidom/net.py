@@ -29,8 +29,8 @@ from . import tensor as T
 from . import workers as W
 from .costvol import CostVolume
 from .headmask import RefineBlock, make_mask, pose_head, warp_refine
-from .pcops import (FcStack, PcopsError, SharedMLP, random_sample,
-                    sample_pyramid, set_conv)
+from .pcops import (PcopsError, make_layers, random_sample, sample_pyramid,
+                    set_conv)
 
 __all__ = ["NetConfig", "NetError", "OdometryNet", "NetOutput", "LevelOutput",
            "desk_config", "full_config"]
@@ -137,16 +137,6 @@ class NetOutput:
     levels: list[LevelOutput]
 
 
-class _Pyramid:
-    """Per-cloud result of the shared aggregation stack."""
-
-    def __init__(self) -> None:
-        self.coords: list[T.Tensor] = []   # level 1..4
-        self.feats: list[T.Tensor] = []
-        self.center_idx: list[np.ndarray] = []
-        self.nbr: list[np.ndarray] = []    # each level's (n, knn_k) table
-
-
 class OdometryNet:
     def __init__(self, cfg: NetConfig) -> None:
         cfg.validate()
@@ -155,35 +145,32 @@ class OdometryNet:
         rng = np.random.default_rng(cfg.init_seed)
         lv = cfg.levels()
 
-        self.pyramid: list[SharedMLP] = []
+        def layers(prefix, *dims, **init):
+            return make_layers(self.store, prefix, list(dims), rng, **init)
+
+        self.pyramid = []
         prev_c = 0
         for i, (_, c) in enumerate(lv, start=1):
             in_w = 3 + 2 * prev_c if prev_c else 3
-            self.pyramid.append(SharedMLP(self.store, f"pyramid/l{i}/mlp",
-                                          in_w, [c, c], rng))
+            self.pyramid.append(layers(f"pyramid/l{i}/mlp", in_w, c, c))
             prev_c = c
 
         cv_level = 3 if cfg.first_embedding == "penultimate" else 4
         c_cv = lv[cv_level - 1][1]
         self.cv_init = CostVolume(self.store, "init/cv", c_cv, cfg.cv_k1,
                                   cfg.cv_k2, rng, cfg.cost_volume_mode)
-        self.carry: SharedMLP | None = None
+        c3, c4 = lv[2][1], lv[3][1]
+        self.carry = None
         if cfg.first_embedding == "penultimate":
-            c3, c4 = lv[2][1], lv[3][1]
-            self.carry = SharedMLP(self.store, "init/carry",
-                                   3 + 2 * c3, [c4, c4], rng)
+            self.carry = layers("init/carry", 3 + 2 * c3, c4, c4)
 
-        c4 = lv[3][1]
-        self.init_mask: SharedMLP | None = None
+        self.init_mask = None
         if cfg.use_mask:
-            self.init_mask = SharedMLP(self.store, "init/mask", 2 * c4,
-                                       [c4, c4], rng, relu_last=False)
-        fc_widths = [cfg.fc_hidden1, cfg.fc_hidden2]
-        identity_q = np.array([1.0, 0.0, 0.0, 0.0])
-        self.init_fc_q = FcStack(self.store, "init/fc_q", c4,
-                                 fc_widths + [4], rng, out_bias=identity_q)
-        self.init_fc_t = FcStack(self.store, "init/fc_t", c4,
-                                 fc_widths + [3], rng)
+            self.init_mask = layers("init/mask", 2 * c4, c4, c4)
+        h1, h2 = cfg.fc_hidden1, cfg.fc_hidden2
+        q_init = dict(gain=1.0, out_bias=np.array([1.0, 0.0, 0.0, 0.0]))
+        self.init_fc_q = layers("init/fc_q", c4, h1, h2, 4, **q_init)
+        self.init_fc_t = layers("init/fc_t", c4, h1, h2, 3, gain=1.0)
 
         self.blocks: dict[int, RefineBlock] = {}
         if cfg.use_warp_refinement:
@@ -192,45 +179,34 @@ class OdometryNet:
                 c_sparse = lv[level][1]
                 pre = f"refine/l{level}"
                 with_prior = cfg.use_mask and cfg.optimize_mask
+                mask_w = (3 if with_prior else 2) * c
                 self.blocks[level] = RefineBlock(
-                    up_e1=SharedMLP(self.store, f"{pre}/up_e/mlp1",
-                                    3 + c_sparse, [c, c], rng),
-                    up_e2=SharedMLP(self.store, f"{pre}/up_e/mlp2",
-                                    2 * c, [c], rng),
+                    up_e1=layers(f"{pre}/up_e/mlp1", 3 + c_sparse, c, c),
+                    up_e2=layers(f"{pre}/up_e/mlp2", 2 * c, c),
                     cost_volume=CostVolume(self.store, f"{pre}/cv", c,
                                            cfg.cv_k1, cfg.cv_k2, rng,
                                            cfg.cost_volume_mode),
-                    refine_mlp=SharedMLP(self.store, f"{pre}/emb",
-                                         3 * c, [c, c], rng),
-                    fc_q=FcStack(self.store, f"{pre}/fc_q", c,
-                                 fc_widths + [4], rng, out_bias=identity_q),
-                    fc_t=FcStack(self.store, f"{pre}/fc_t", c,
-                                 fc_widths + [3], rng),
-                    mask_mlp=(SharedMLP(self.store, f"{pre}/mask",
-                                        (3 if with_prior else 2) * c, [c, c],
-                                        rng, relu_last=False)
+                    refine_mlp=layers(f"{pre}/emb", 3 * c, c, c),
+                    fc_q=layers(f"{pre}/fc_q", c, h1, h2, 4, **q_init),
+                    fc_t=layers(f"{pre}/fc_t", c, h1, h2, 3, gain=1.0),
+                    mask_mlp=(layers(f"{pre}/mask", mask_w, c, c)
                               if cfg.use_mask else None),
-                    up_m1=(SharedMLP(self.store, f"{pre}/up_m/mlp1",
-                                     3 + c_sparse, [c, c], rng)
+                    up_m1=(layers(f"{pre}/up_m/mlp1", 3 + c_sparse, c, c)
                            if with_prior else None),
-                    up_m2=(SharedMLP(self.store, f"{pre}/up_m/mlp2",
-                                     2 * c, [c], rng)
+                    up_m2=(layers(f"{pre}/up_m/mlp2", 2 * c, c)
                            if with_prior else None),
                 )
 
-    def _run_pyramid(self, pts: np.ndarray, tables) -> _Pyramid:
-        """The pyramid levels of one cloud, one per (centers, nbr) table
-        that sample_pyramid gives for it."""
-        out = _Pyramid()
-        coords = T.const(pts)
-        feats: T.Tensor | None = None
-        for mlp, (centers, nbr) in zip(self.pyramid, tables):
-            coords, feats = set_conv(coords, feats, centers, nbr, mlp)
-            out.coords.append(coords)
-            out.feats.append(feats)
-            out.center_idx.append(centers)
-            out.nbr.append(nbr)
-        return out
+    def _run_pyramid(self, pts: np.ndarray, tables
+                     ) -> tuple[list[T.Tensor], list[T.Tensor]]:
+        """The coords and feats of one cloud's pyramid levels, one per
+        (centers, nbr) table that sample_pyramid gives for it."""
+        coords, feats = [T.const(pts)], [None]
+        for layers, (centers, nbr) in zip(self.pyramid, tables):
+            c, f = set_conv(coords[-1], feats[-1], centers, nbr, layers)
+            coords.append(c)
+            feats.append(f)
+        return coords[1:], feats[1:]
 
     def forward(self, pc1: np.ndarray, pc2: np.ndarray) -> NetOutput:
         pc1, pc2 = _cloud("pc1", pc1), _cloud("pc2", pc2)
@@ -244,40 +220,35 @@ class OdometryNet:
         # the penultimate one and every refinement step use levels 3-1
         sizes2 = sizes if cfg.first_embedding == "last" else sizes[:3]
         with W.SAMPLER.tables(sub2, sizes2, cfg.knn_k) as reply:
-            p1 = self._run_pyramid(sub1, _named("pc1", sample_pyramid, sub1,
-                                                sizes, cfg.knn_k))
+            tables1 = _named("pc1", sample_pyramid, sub1, sizes, cfg.knn_k)
+            coords1, feats1 = self._run_pyramid(sub1, tables1)
             # reply() is None when the sampler cannot start, died or is busy
             tables2 = _named("pc2", lambda: reply() or sample_pyramid(
                 sub2, sizes2, cfg.knn_k))
-            p2 = self._run_pyramid(sub2, tables2)
+            coords2, feats2 = self._run_pyramid(sub2, tables2)
 
         if cfg.first_embedding == "penultimate":
-            e3 = self.cv_init(p1.coords[2], p1.feats[2],
-                              p2.coords[2], p2.feats[2])
+            e3 = self.cv_init(coords1[2], feats1[2], coords2[2], feats2[2])
             # the same centers and neighborhoods as pc1's level 4
-            _, e4 = set_conv(p1.coords[2], e3, p1.center_idx[3], p1.nbr[3],
-                             self.carry)
+            _, e4 = set_conv(coords1[2], e3, *tables1[3], self.carry)
         else:
-            e4 = self.cv_init(p1.coords[3], p1.feats[3],
-                              p2.coords[3], p2.feats[3])
+            e4 = self.cv_init(coords1[3], feats1[3], coords2[3], feats2[3])
 
         mask4 = None
         if self.init_mask is not None:
-            mask4 = make_mask(e4, p1.feats[3], None, self.init_mask)
+            mask4 = make_mask(e4, feats1[3], None, self.init_mask)
         q, t = pose_head(e4, mask4, self.init_fc_q, self.init_fc_t)
-        levels = [LevelOutput(4, p1.coords[3].data, q, t, e4, mask4)]
+        levels = [LevelOutput(4, coords1[3].data, q, t, e4, mask4)]
 
         if cfg.use_warp_refinement:
             emb, mask = e4, mask4
             for level in (3, 2, 1):
-                blk = self.blocks[level]
-                idx = level - 1
+                i = level - 1
                 q, t, emb, mask = warp_refine(
-                    blk, p1.coords[idx], p1.feats[idx],
-                    p2.coords[idx], p2.feats[idx],
-                    p1.coords[idx + 1], emb, mask, q, t, cfg.up_k,
+                    self.blocks[level], coords1[i], feats1[i], coords2[i],
+                    feats2[i], coords1[i + 1], emb, mask, q, t, cfg.up_k,
                     use_warp=cfg.use_warp)
-                levels.append(LevelOutput(level, p1.coords[idx].data,
+                levels.append(LevelOutput(level, coords1[i].data,
                                           q, t, emb, mask))
         return NetOutput(levels)
 

@@ -24,18 +24,19 @@ the bits of an in-process call, while it runs pc1's pyramid.
 
 set_conv aggregates each sampled center's neighborhood through a shared MLP
 and a max pool; set_upconv propagates sparse-level features back to a denser
-level.  A SharedMLP takes its input as parts, mlp(*parts, nbr=...), and
-runs its first layer factorized (the EdgeConv split): rather than
-concatenating (offset, neighbor features, center features) per edge and
-multiplying by the first weight, each part multiplies its own row block of
-that weight, neighbor features once per point before the (n, k) gather and
-center features once per center.  That equals the concat form up to
-summation order.  Every SharedMLP call is one T.mlp op, whose backward
-recomputes the hidden layers, and every FcStack layer a one-layer T.mlp;
-an attentive cost-volume stage hands its two SharedMLPs' layers to one
-T.attend op.
-Shared MLPs apply relu on every layer; the FC stacks used by pose heads
-elsewhere do not (see headmask).
+level.  A shared MLP is a plain list of (weight, bias) layers from
+make_layers, which its caller hands to one T.mlp op with relu on every
+layer.  T.mlp takes its input as parts and runs the first layer factorized
+(the EdgeConv split): rather than concatenating (offset, neighbor
+features, center features) per edge and multiplying by the first weight,
+each part multiplies its own row block of that weight, neighbor features
+once per point before the (n, k) gather and center features once per
+center.  That equals the concat form up to summation order.  set_conv and
+set_upconv's first MLP max-pool inside the op (pool=True).  The other
+layer lists go to the same ops: an attentive cost-volume stage hands its
+u and v to one T.attend op, make_mask runs its MLP with a linear last
+layer, and pose_head runs each FC layer, all linear, as a one-layer T.mlp
+(see headmask).
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ from . import tensor as T
 from . import workers as W
 
 __all__ = [
-    "PcopsError", "SharedMLP", "FcStack",
-    "farthest_point_sample", "knn_indices", "random_sample",
+    "PcopsError", "farthest_point_sample", "knn_indices", "make_layers",
+    "random_sample",
     "sample_pyramid", "set_conv", "set_upconv",
 ]
 
@@ -215,14 +216,15 @@ def random_sample(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=size, replace=size > n)
 
 
-def _layers(store: T.ParamStore, prefix: str, dims: list[int],
-            rng: np.random.Generator, gain: float,
-            out_bias: np.ndarray | None = None
-            ) -> list[tuple[T.Parameter, T.Parameter]]:
+def make_layers(store: T.ParamStore, prefix: str, dims: list[int],
+                rng: np.random.Generator, gain: float = 2.0,
+                out_bias: np.ndarray | None = None
+                ) -> list[tuple[T.Parameter, T.Parameter]]:
     """The (weight, bias) parameters "{prefix}/{i}/W" and "/b" of a stack
-    from dims[i] to dims[i + 1] channels, layer by layer: weights drawn
-    N(0, gain / fan_in), biases zero but out_bias on the last layer if
-    given (the parameter copies it)."""
+    from dims[i] to dims[i + 1] channels, layer by layer, as the list that
+    T.mlp and T.attend take: weights drawn N(0, gain / fan_in), biases zero
+    but out_bias on the last layer if given (the parameter copies it).
+    Gain 2 (He init) suits the relu stacks; the linear FC heads take 1."""
     layers = []
     for i, (fan_in, w) in enumerate(zip(dims, dims[1:])):
         weight = store.create(f"{prefix}/{i}/W", rng.normal(size=(fan_in, w))
@@ -233,48 +235,6 @@ def _layers(store: T.ParamStore, prefix: str, dims: list[int],
     return layers
 
 
-class SharedMLP:
-    """Per-row matmul + bias + relu stack applied pointwise.
-
-    relu_last=False leaves the final layer linear; layers that produce
-    softmax logits need signed outputs, and a relu there starves the
-    attention gradient whenever a neighborhood's logits all clamp to zero.
-    """
-
-    def __init__(self, store: T.ParamStore, prefix: str, in_width: int,
-                 widths: list[int], rng: np.random.Generator,
-                 relu_last: bool = True) -> None:
-        self.layers = _layers(store, prefix, [in_width, *widths], rng, 2)
-        self.relu_last = relu_last
-
-    def __call__(self, *parts: T.Tensor, nbr: np.ndarray | None = None,
-                 pool: bool = False) -> T.Tensor:
-        """The MLP over input rows that concat `parts` in order, without
-        building the concat, as one T.mlp op: the first layer runs over the
-        parts (with the (n, k) table nbr a rank-2 part is per reference
-        point and gathered by it), each later layer over the one before.
-        Equals the MLP on the concat up to summation order.  With pool, the
-        (n, c) max over each row's k neighbours (T.mlp's pool).
-        """
-        return T.mlp(self.layers, *parts, nbr=nbr,
-                     relu_last=self.relu_last, pool=pool)
-
-
-class FcStack:
-    """Linear stack for regression heads (no activations)."""
-
-    def __init__(self, store: T.ParamStore, prefix: str, in_width: int,
-                 widths: list[int], rng: np.random.Generator,
-                 out_bias: np.ndarray | None = None) -> None:
-        self.layers = _layers(store, prefix, [in_width, *widths], rng, 1,
-                              out_bias)
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        for layer in self.layers:
-            x = T.mlp([layer], x, relu_last=False)
-        return x
-
-
 def _offsets(ref: T.Tensor, nbr: np.ndarray, centres: T.Tensor) -> T.Tensor:
     """Each edge's offset, ref[nbr[i, j]] - centres[i], of shape (n, k, 3)
     for the (n, k) table nbr: a gather, a reshape and a sub."""
@@ -283,7 +243,7 @@ def _offsets(ref: T.Tensor, nbr: np.ndarray, centres: T.Tensor) -> T.Tensor:
 
 
 def set_conv(coords: T.Tensor, feats: T.Tensor | None,
-             center_idx: np.ndarray, nbr: np.ndarray, mlp: SharedMLP
+             center_idx: np.ndarray, nbr: np.ndarray, layers: list
              ) -> tuple[T.Tensor, T.Tensor]:
     """Sampled local aggregation.
 
@@ -300,12 +260,12 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     parts = [_offsets(coords, nbr, out_coords)]
     if feats is not None:
         parts += [feats, T.gather_rows(feats, center_idx[:, None])]
-    return out_coords, mlp(*parts, nbr=nbr, pool=True)
+    return out_coords, T.mlp(layers, *parts, nbr=nbr, pool=True)
 
 
 def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
                sparse_coords: T.Tensor, sparse_feats: T.Tensor,
-               nbr: np.ndarray, mlp1: SharedMLP, mlp2: SharedMLP) -> T.Tensor:
+               nbr: np.ndarray, layers1: list, layers2: list) -> T.Tensor:
     """Propagate sparse-level features to every dense point.
 
     nbr is the (n_dense, k) table of each dense point's nearest sparse points,
@@ -317,4 +277,5 @@ def set_upconv(dense_coords: T.Tensor, dense_feats: T.Tensor,
     MLP on (pooled features, the dense point's own features).
     """
     rel = _offsets(sparse_coords, nbr, dense_coords)
-    return mlp2(mlp1(rel, sparse_feats, nbr=nbr, pool=True), dense_feats)
+    pooled = T.mlp(layers1, rel, sparse_feats, nbr=nbr, pool=True)
+    return T.mlp(layers2, pooled, dense_feats)

@@ -510,23 +510,17 @@ def _forward(stack: tuple, srcs: list, rows: slice, relu_last: bool,
     return x[0]
 
 
-def _fill(stack: tuple, datas: list, outs: list,
-          relu_last: bool = True) -> list:
-    """Run the stack's first len(outs) layers over every row, block by
-    block on two threads (W.each), each into its full-size array in outs
-    (None: kept per block only); returns outs."""
-    if outs:
-        srcs = _sources(stack, datas)
-        W.each(lambda rows: _forward(
-            stack, srcs, rows, relu_last,
-            [None if o is None else o[rows] for o in outs]), _blocks(stack))
-    return outs
-
-
 def _hidden(stack: tuple, datas: list) -> list[list]:
     """Every layer's inputs: the parts, then each hidden layer's output
-    (relu on), from which the last layer runs."""
-    hidden = _fill(stack, datas, [np.empty(p[3]) for p in stack[2][:-1]])
+    (relu on), from which the last layer runs.  The hidden layers run over
+    every row, block by block on two threads (W.each), each block into its
+    rows of full-size arrays."""
+    hidden = [np.empty(p[3]) for p in stack[2][:-1]]
+    if hidden:
+        srcs = _sources(stack, datas)
+        W.each(lambda rows: _forward(stack, srcs, rows, True,
+                                     [h[rows] for h in hidden]),
+               _blocks(stack))
     return [datas, *([h] for h in hidden)]
 
 
@@ -622,18 +616,22 @@ def mlp(layers: Sequence[tuple[Tensor, Tensor]], *parts: Tensor, nbr=None,
         out = np.empty((n, c))
         if taped:
             arg = np.empty((n, c), np.min_scalar_type(k - 1))
-        srcs = _sources(stack, datas)
+    else:
+        out = np.empty(edge_shape)
+    srcs = _sources(stack, datas)
 
-        def block(rows):
-            last = _forward(stack, srcs, rows, relu_last, [None] * len(layers))
+    def block(rows):
+        # the last layer writes into its rows of out, or pooled into a block
+        # temporary that max-reduces into them
+        hidden = [None] * (len(layers) - 1)
+        last = _forward(stack, srcs, rows, relu_last,
+                        hidden + [None if pool else out[rows]])
+        if pool:
             last.max(axis=1, out=out[rows])
             if arg is not None:
                 arg[rows] = np.argmax(last, axis=1)
 
-        W.each(block, _blocks(stack))
-    else:
-        outs = [None] * (len(layers) - 1) + [np.empty(edge_shape)]
-        out = _fill(stack, datas, outs, relu_last)[-1]
+    W.each(block, _blocks(stack))
     if not taped:
         return Tensor(out)
     mask = out > 0.0 if relu_last else None

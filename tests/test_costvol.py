@@ -126,7 +126,7 @@ def test_attention_weights_are_a_distribution():
     dist = np.sqrt((rel ** 2).sum(-1, keepdims=True) + 1e-20)
     x = np.concatenate([rel, dist, f1[rep].reshape(n, k, -1),
                         f2[flat].reshape(n, k, -1)], axis=2)
-    logits = cv.u1(T.const(x))
+    logits = T.mlp(cv.u1, T.const(x), relu_last=False)
     w = T.softmax_axis(logits, axis=1)
     assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
 

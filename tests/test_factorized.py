@@ -2,7 +2,8 @@
 oracle, its width check, and the absence of concats on the tape.
 
 The oracles below build the (n, k, width) or (n, width) concat each site
-would otherwise build and run the whole MLP on it as one part, mlp(x).  The
+would otherwise build and run the whole MLP on it as one part,
+T.mlp(layers, x).  The
 factorized sites sum the same products in another order, so they agree to
 rounding, not bit for bit.  set_conv and set_upconv pool inside their
 T.mlp op; their oracles max-pool the concat form's output with conftest's
@@ -43,7 +44,7 @@ def set_conv_concat(coords, feats, centers, k, mlp):
     parts = [T.sub(T.gather_rows(coords, nbr), T.gather_rows(coords, ctr))]
     if feats is not None:
         parts += [T.gather_rows(feats, nbr), T.gather_rows(feats, ctr)]
-    return reduce_max(mlp(concat(parts)), axis=1)
+    return reduce_max(T.mlp(mlp, concat(parts)), axis=1)
 
 
 def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
@@ -52,8 +53,8 @@ def set_upconv_concat(dense_coords, dense_feats, sparse_coords, sparse_feats,
     rel = T.sub(T.gather_rows(sparse_coords, nbr),
                 T.gather_rows(dense_coords, ctr))
     x = concat([rel, T.gather_rows(sparse_feats, nbr)])
-    pooled = reduce_max(mlp1(x), axis=1)
-    return mlp2(concat([pooled, dense_feats]))
+    pooled = reduce_max(T.mlp(mlp1, x), axis=1)
+    return T.mlp(mlp2, concat([pooled, dense_feats]))
 
 
 def cost_volume_concat(cv, coords1, feats1, coords2, feats2):
@@ -69,8 +70,8 @@ def cost_volume_concat(cv, coords1, feats1, coords2, feats2):
         if u is None:
             weights = T.const(np.full((n, k, 1), 1.0 / k))
         else:
-            weights = T.softmax_axis(u(x), axis=1)
-        return T.reduce_sum(T.mul(weights, v(x)), axis=1)
+            weights = T.softmax_axis(T.mlp(u, x, relu_last=False), axis=1)
+        return T.reduce_sum(T.mul(weights, T.mlp(v, x)), axis=1)
 
     nbr1 = P.knn_indices(coords1.data, coords2.data, cv.k1)
     pe = attend(coords1, feats1, coords2, feats2, nbr1, cv.u1, cv.v1)
@@ -129,7 +130,8 @@ def _assert_matches_oracle(fn, oracle, store, inputs, softmax_shifts=()):
 
 
 def _mlp(store, prefix, in_w, widths, seed):
-    return P.SharedMLP(store, prefix, in_w, widths, np.random.default_rng(seed))
+    return P.make_layers(store, prefix, [in_w, *widths],
+                         np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("c_in", [0, 5])
@@ -169,11 +171,12 @@ def test_per_row_parts_match_the_concat_oracle(relu_last):
     rng = np.random.default_rng(7)
     inputs = [rng.normal(size=(11, w)) for w in (4, 3, 5)]
     store = T.ParamStore()
-    mlp = P.SharedMLP(store, "row", 12, [6, 4], np.random.default_rng(8),
-                      relu_last=relu_last)
+    mlp = _mlp(store, "row", 12, [6, 4], seed=8)
     _offset_biases(store, seed=3)
-    _assert_matches_oracle(lambda *ps: mlp(*ps),
-                           lambda *ps: mlp(concat(ps)), store, inputs)
+    _assert_matches_oracle(
+        lambda *ps: T.mlp(mlp, *ps, relu_last=relu_last),
+        lambda *ps: T.mlp(mlp, concat(ps), relu_last=relu_last),
+        store, inputs)
 
 
 @pytest.mark.parametrize("mode", ["attentive", "uniform"])

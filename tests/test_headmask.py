@@ -19,8 +19,8 @@ def _mask_setup(seed=0, n=12, c=4, with_prior=False):
     prior = rng.normal(size=(n, c)) if with_prior else None
     store = T.ParamStore()
     in_w = (3 if with_prior else 2) * c
-    mlp = P.SharedMLP(store, "mask", in_w, [c, c], np.random.default_rng(seed),
-                      relu_last=False)
+    mlp = P.make_layers(store, "mask", [in_w, c, c],
+                        np.random.default_rng(seed))
     return store, mlp, emb, feats, prior
 
 
@@ -44,9 +44,9 @@ def test_mask_zero_weights_is_uniform():
 
 def _heads(store, c, seed=0, h1=8, h2=6):
     rng = np.random.default_rng(seed)
-    fc_q = P.FcStack(store, "fc_q", c, [h1, h2, 4], rng,
-                     out_bias=np.array([1.0, 0.0, 0.0, 0.0]))
-    fc_t = P.FcStack(store, "fc_t", c, [h1, h2, 3], rng)
+    fc_q = P.make_layers(store, "fc_q", [c, h1, h2, 4], rng, 1.0,
+                         np.array([1.0, 0.0, 0.0, 0.0]))
+    fc_t = P.make_layers(store, "fc_t", [c, h1, h2, 3], rng, 1.0)
     return fc_q, fc_t
 
 
@@ -129,19 +129,19 @@ def _refine_setup(seed=0, n=10, m=4, c=3, with_mask=True, with_prior=True):
     store = T.ParamStore()
     prng = np.random.default_rng(seed + 1)
     blk = H.RefineBlock(
-        up_e1=P.SharedMLP(store, "up_e1", 3 + c, [c, c], prng),
-        up_e2=P.SharedMLP(store, "up_e2", 2 * c, [c], prng),
+        up_e1=P.make_layers(store, "up_e1", [3 + c, c, c], prng),
+        up_e2=P.make_layers(store, "up_e2", [2 * c, c], prng),
         cost_volume=C.CostVolume(store, "cv", c, 3, 2, prng),
-        refine_mlp=P.SharedMLP(store, "refine", 3 * c, [c, c], prng),
-        fc_q=P.FcStack(store, "fc_q", c, [6, 4], prng,
-                       out_bias=np.array([1.0, 0.0, 0.0, 0.0])),
-        fc_t=P.FcStack(store, "fc_t", c, [6, 3], prng),
-        mask_mlp=(P.SharedMLP(store, "mask", (3 if with_prior else 2) * c,
-                              [c], prng, relu_last=False)
+        refine_mlp=P.make_layers(store, "refine", [3 * c, c, c], prng),
+        fc_q=P.make_layers(store, "fc_q", [c, 6, 4], prng, 1.0,
+                           np.array([1.0, 0.0, 0.0, 0.0])),
+        fc_t=P.make_layers(store, "fc_t", [c, 6, 3], prng, 1.0),
+        mask_mlp=(P.make_layers(store, "mask",
+                                [(3 if with_prior else 2) * c, c], prng)
                   if with_mask else None),
-        up_m1=(P.SharedMLP(store, "up_m1", 3 + c, [c, c], prng)
+        up_m1=(P.make_layers(store, "up_m1", [3 + c, c, c], prng)
                if with_mask and with_prior else None),
-        up_m2=(P.SharedMLP(store, "up_m2", 2 * c, [c], prng)
+        up_m2=(P.make_layers(store, "up_m2", [2 * c, c], prng)
                if with_mask and with_prior else None),
     )
     coarse_q = rng.normal(size=4)

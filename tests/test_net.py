@@ -22,7 +22,7 @@ from lidom import tensor as T
 from lidom import workers as W
 from lidom.costvol import CostVolume
 from lidom.net import NetError, OdometryNet, desk_config
-from lidom.pcops import FcStack, PcopsError, SharedMLP
+from lidom.pcops import PcopsError
 
 
 def _scans(seed=0, n=600):
@@ -243,30 +243,54 @@ def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
 
 
 def _check_taped_pair_nodes(monkeypatch, mode):
-    mlps = _counting(monkeypatch, SharedMLP, "__call__")
-    fcs = _counting(monkeypatch, FcStack, "__call__")
+    convs = _counting(monkeypatch, lidom.net, "set_conv")
+    upconvs = _counting(monkeypatch, lidom.headmask, "set_upconv")
+    refines = _counting(monkeypatch, lidom.net, "warp_refine")
+    # the init level calls these from net, each refinement from headmask
+    masks = [_counting(monkeypatch, mod, "make_mask")
+             for mod in (lidom.net, lidom.headmask)]
+    heads = [_counting(monkeypatch, mod, "pose_head")
+             for mod in (lidom.net, lidom.headmask)]
     cvs = _counting(monkeypatch, CostVolume, "__call__")
-    stacks = {op: _counting(monkeypatch, T, op) for op in ("mlp", "attend")}
+    mlp_kwargs, mlp = [], T.mlp
+    monkeypatch.setattr(T, "mlp", lambda *a, **kw: mlp_kwargs.append(kw)
+                        or mlp(*a, **kw))
+    attends = _counting(monkeypatch, T, "attend")
     net = OdometryNet(desk_config(cost_volume_mode=mode))
     tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
-    n_fc = sum(len(fc.layers) for fc, *_ in fcs)
-    assert kinds.count("mlp") == len(mlps) + n_fc and len(mlps) > 0 < n_fc
-    assert len(stacks["mlp"]) == len(mlps) + n_fc
+    n_masks = sum(map(len, masks))
+    fc_layers = sum(len(fc_q) + len(fc_t) for calls in heads
+                    for _, _, fc_q, fc_t in calls)
+    assert n_masks > 0 < fc_layers
+    # every T.mlp call records one mlp node: each set_conv's and each
+    # set_upconv's first MLP pooled; each mask MLP and each FC layer with a
+    # linear last layer; and the rest with relu on every layer, which are
+    # each set_upconv's second MLP, each refinement's embedding MLP and,
+    # uniform, each cost-volume stage's value MLP
+    assert kinds.count("mlp") == len(mlp_kwargs)
+    pooled = sum(kw.get("pool", False) for kw in mlp_kwargs)
+    linear = sum(not kw.get("relu_last", True) for kw in mlp_kwargs)
+    assert pooled == len(convs) + len(upconvs)
+    assert linear == n_masks + fc_layers
+    uniform = 2 * len(cvs) if mode == "uniform" else 0
+    assert len(mlp_kwargs) - pooled - linear == (
+        len(upconvs) + len(refines) + uniform)
     # an attentive cost volume is two attend nodes, one per stage, and each
-    # of them takes the layers of two SharedMLPs, u and v, that record no
-    # mlp node; a uniform stage is its v's mlp node, a sum and a mul
-    attends = 2 * len(cvs) if mode == "attentive" else 0
-    assert len(cvs) > 0 and kinds.count("attend") == attends
-    handed = sorted((id(u), id(v)) for u, v, *_ in stacks["attend"])
+    # of them takes, by identity, the layer lists u and v of one of its
+    # stages, which record no mlp node; a uniform stage is its v's mlp
+    # node, a sum and a mul
+    n_attend = 2 * len(cvs) if mode == "attentive" else 0
+    assert len(cvs) > 0 and kinds.count("attend") == len(attends) == n_attend
+    handed = sorted((id(u), id(v)) for u, v, *_ in attends)
     assert handed == sorted(
-        (id(u.layers), id(v.layers)) for cv, *_ in cvs if attends
+        (id(u), id(v)) for cv, *_ in cvs if n_attend
         for u, v in ((cv.u1, cv.v1), (cv.u2, cv.v2)))
     # the pair records every kind the op set has, attend only if attentive,
     # and no other
     ops = {"leaf", "add", "sub", "mul", "div", "sqrt", "matmul", "mlp",
            "softmax", "sum", "reshape", "gather"}
-    assert set(kinds) == ops | ({"attend"} if attends else set())
+    assert set(kinds) == ops | ({"attend"} if n_attend else set())
 
 
 def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):

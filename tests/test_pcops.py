@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_diff, grad_gap
+from lidom import headmask as H
 from lidom import pcops as P
 from lidom import tensor as T
 
@@ -271,7 +272,8 @@ def test_random_sample_seeded_deterministic():
 # --- aggregation layers ---
 
 def _mlp(store, prefix, in_w, widths, seed=0):
-    return P.SharedMLP(store, prefix, in_w, widths, np.random.default_rng(seed))
+    return P.make_layers(store, prefix, [in_w, *widths],
+                         np.random.default_rng(seed))
 
 
 def test_set_conv_shapes_and_determinism():
@@ -378,19 +380,27 @@ def test_set_upconv_shapes_and_gradients():
     assert grad_gap(grad, numeric) < 1e-4
 
 
-def test_fc_stack_is_linear():
-    store = T.ParamStore()
-    fc = P.FcStack(store, "fc", 4, [6, 3], np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    a, b = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-    fa = fc(T.const(a)).data
-    fb = fc(T.const(b)).data
-    fmid = fc(T.const(0.5 * a + 0.5 * b)).data
-    assert np.allclose(fmid, 0.5 * fa + 0.5 * fb, atol=1e-12)
+def test_pose_head_fc_layers_are_linear():
+    # pose_head's FC path has no activation: its t, through two FC layers
+    # from a mean pooling, is linear in the embedding
+    store, rng = T.ParamStore(), np.random.default_rng(0)
+    fc_q = P.make_layers(store, "fc_q", [4, 6, 4], rng, 1.0)
+    fc_t = P.make_layers(store, "fc_t", [4, 6, 3], rng, 1.0)
+    a, b = np.random.default_rng(1).normal(size=(2, 5, 4))
+
+    def t(x):
+        return H.pose_head(T.const(x), None, fc_q, fc_t)[1].data
+
+    assert np.allclose(t(0.5 * a + 0.5 * b), 0.5 * t(a) + 0.5 * t(b),
+                       atol=1e-12)
 
 
-def test_fc_stack_out_bias():
+def test_make_layers_out_bias():
     store = T.ParamStore()
-    fc = P.FcStack(store, "fc", 3, [5, 4], np.random.default_rng(0),
-                   out_bias=np.array([1.0, 0.0, 0.0, 0.0]))
+    out_bias = np.array([1.0, 0.0, 0.0, 0.0])
+    layers = P.make_layers(store, "fc", [3, 5, 4], np.random.default_rng(0),
+                           1.0, out_bias)
+    assert [(w.name, b.name) for w, b in layers] == [("fc/0/W", "fc/0/b"),
+                                                     ("fc/1/W", "fc/1/b")]
+    assert np.array_equal(store["fc/0/b"].value, np.zeros(5))
     assert np.array_equal(store["fc/1/b"].value, [1.0, 0.0, 0.0, 0.0])
