@@ -9,7 +9,7 @@ warp_refine is one coarse-to-fine refinement step: propagate the coarser
 embedding and mask down with set upconvs, rigidly warp the first cloud by the
 coarse pose, re-correlate against the second cloud, fuse everything into a
 refined embedding and mask, regress a residual pose, and compose it onto the
-coarse one.  The ablation flags reduce the step to its published variants.
+coarse one.  RefineBlock's optional stacks and use_warp give its ablations.
 """
 from __future__ import annotations
 

@@ -9,10 +9,12 @@ pyramid, each warping the first cloud by the coarse pose, re-correlating,
 and composing a residual pose, so the forward pass emits four poses ordered
 coarse to fine.
 
-Config flags expose the published ablations: uniform (non-attentive) cost
-volume, no mask, per-level mask without coarse-to-fine conditioning, no warp,
-no refinement at all (single pose), and the first embedding at the coarsest
-level instead of the penultimate one.
+NetConfig.ablation picks the full model ("none") or one of the published
+ablations, one at a time (ABLATIONS): a uniform (non-attentive) cost volume,
+no mask, per-level masks without coarse-to-fine conditioning, no warp, no
+refinement at all (a single pose), and the first embedding at the coarsest
+level instead of the penultimate one.  __init__ builds the network for it,
+and forward runs what __init__ built.
 
 forward has lidom.workers' sampler process sample pc2's pyramid tables
 while pc1's pyramid runs, and samples them itself when the sampler gives no
@@ -29,11 +31,15 @@ from . import tensor as T
 from . import workers as W
 from .costvol import CostVolume
 from .headmask import RefineBlock, make_mask, pose_head, warp_refine
-from .pcops import (PcopsError, make_layers, random_sample, sample_pyramid,
-                    set_conv)
+from .pcops import (PcopsError, _points, make_layers, random_sample,
+                    sample_pyramid, set_conv)
 
-__all__ = ["NetConfig", "NetError", "OdometryNet", "NetOutput", "LevelOutput",
-           "desk_config", "full_config"]
+__all__ = ["ABLATIONS", "NetConfig", "NetError", "OdometryNet", "NetOutput",
+           "LevelOutput", "desk_config", "full_config"]
+
+
+ABLATIONS = ("none", "uniform_cost_volume", "no_mask", "no_mask_optimization",
+             "no_warp", "no_refinement", "last_level_embedding")
 
 
 class NetError(ValueError):
@@ -42,7 +48,7 @@ class NetError(ValueError):
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture sizes, ablation flags and the init seed.  desk_config and
+    """Architecture sizes, the ablation and the init seed.  desk_config and
     full_config are the two presets; OdometryNet validates what it is given."""
 
     n_input: int = 8192
@@ -60,12 +66,7 @@ class NetConfig:
     up_k: int = 8
     fc_hidden1: int = 256
     fc_hidden2: int = 128
-    first_embedding: str = "penultimate"
-    cost_volume_mode: str = "attentive"
-    use_mask: bool = True
-    optimize_mask: bool = True
-    use_warp: bool = True
-    use_warp_refinement: bool = True
+    ablation: str = "none"
     init_seed: int = 0
 
     def levels(self) -> list[tuple[int, int]]:
@@ -74,12 +75,10 @@ class NetConfig:
 
     def validate(self) -> None:
         """Raise NetError naming the field unless each int field (sizes,
-        widths, k's, init seed) holds a non-bool integer, each bool field
-        (the ablation flags) a bool, and the values fit together."""
+        widths, k's, init seed) holds a non-bool integer, ablation is one of
+        ABLATIONS, and the values fit together."""
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type == "bool" and not isinstance(v, (bool, np.bool_)):
-                raise NetError(f"{f.name} must be a bool, got {v!r}")
             if f.type != "int":
                 continue
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
@@ -95,18 +94,15 @@ class NetConfig:
             if getattr(self, name) > self.n4:
                 raise NetError(f"{name}={getattr(self, name)} exceeds the "
                                f"coarsest level ({self.n4})")
-        if self.first_embedding not in ("penultimate", "last"):
-            raise NetError(
-                f"first_embedding must be penultimate or last, "
-                f"got {self.first_embedding!r}")
-        if self.cost_volume_mode not in ("attentive", "uniform"):
-            raise NetError(
-                f"cost_volume_mode must be attentive or uniform, "
-                f"got {self.cost_volume_mode!r}")
+        if not isinstance(self.ablation, str) or \
+                self.ablation not in ABLATIONS:
+            raise NetError(f"ablation must be one of {', '.join(ABLATIONS)}; "
+                           f"got {self.ablation!r}")
 
 
 def desk_config(**overrides) -> NetConfig:
-    """Small preset that trains in minutes on one CPU core."""
+    """Small preset: the scale of the tier-1 tests and of overfitting
+    checks, a forward in tens of milliseconds on one CPU core."""
     cfg = NetConfig(n_input=512, n1=128, n2=64, n3=32, n4=16,
                     c1=8, c2=16, c3=32, c4=64,
                     knn_k=8, cv_k1=4, cv_k2=4, up_k=4,
@@ -155,42 +151,42 @@ class OdometryNet:
             self.pyramid.append(layers(f"pyramid/l{i}/mlp", in_w, c, c))
             prev_c = c
 
-        cv_level = 3 if cfg.first_embedding == "penultimate" else 4
-        c_cv = lv[cv_level - 1][1]
-        self.cv_init = CostVolume(self.store, "init/cv", c_cv, cfg.cv_k1,
-                                  cfg.cv_k2, rng, cfg.cost_volume_mode)
+        ab = cfg.ablation
+        last = ab == "last_level_embedding"
+        mode = "uniform" if ab == "uniform_cost_volume" else "attentive"
+        use_mask = ab != "no_mask"
+        with_prior = use_mask and ab != "no_mask_optimization"
         c3, c4 = lv[2][1], lv[3][1]
-        self.carry = None
-        if cfg.first_embedding == "penultimate":
-            self.carry = layers("init/carry", 3 + 2 * c3, c4, c4)
-
-        self.init_mask = None
-        if cfg.use_mask:
-            self.init_mask = layers("init/mask", 2 * c4, c4, c4)
+        self.cv_init = CostVolume(self.store, "init/cv", c4 if last else c3,
+                                  cfg.cv_k1, cfg.cv_k2, rng, mode)
+        # None when the first embedding is at the coarsest level already
+        self.carry = None if last else layers("init/carry", 3 + 2 * c3,
+                                              c4, c4)
+        self.init_mask = (layers("init/mask", 2 * c4, c4, c4) if use_mask
+                          else None)
         h1, h2 = cfg.fc_hidden1, cfg.fc_hidden2
         q_init = dict(gain=1.0, out_bias=np.array([1.0, 0.0, 0.0, 0.0]))
         self.init_fc_q = layers("init/fc_q", c4, h1, h2, 4, **q_init)
         self.init_fc_t = layers("init/fc_t", c4, h1, h2, 3, gain=1.0)
 
+        # the refinement levels, coarse to fine; none without refinement
         self.blocks: dict[int, RefineBlock] = {}
-        if cfg.use_warp_refinement:
+        if ab != "no_refinement":
             for level in (3, 2, 1):
                 c = lv[level - 1][1]
                 c_sparse = lv[level][1]
                 pre = f"refine/l{level}"
-                with_prior = cfg.use_mask and cfg.optimize_mask
                 mask_w = (3 if with_prior else 2) * c
                 self.blocks[level] = RefineBlock(
                     up_e1=layers(f"{pre}/up_e/mlp1", 3 + c_sparse, c, c),
                     up_e2=layers(f"{pre}/up_e/mlp2", 2 * c, c),
                     cost_volume=CostVolume(self.store, f"{pre}/cv", c,
-                                           cfg.cv_k1, cfg.cv_k2, rng,
-                                           cfg.cost_volume_mode),
+                                           cfg.cv_k1, cfg.cv_k2, rng, mode),
                     refine_mlp=layers(f"{pre}/emb", 3 * c, c, c),
                     fc_q=layers(f"{pre}/fc_q", c, h1, h2, 4, **q_init),
                     fc_t=layers(f"{pre}/fc_t", c, h1, h2, 3, gain=1.0),
                     mask_mlp=(layers(f"{pre}/mask", mask_w, c, c)
-                              if cfg.use_mask else None),
+                              if use_mask else None),
                     up_m1=(layers(f"{pre}/up_m/mlp1", 3 + c_sparse, c, c)
                            if with_prior else None),
                     up_m2=(layers(f"{pre}/up_m/mlp2", 2 * c, c)
@@ -218,7 +214,7 @@ class OdometryNet:
         sizes = [n for n, _ in cfg.levels()]
         # pc2's coarsest level is read only by a last-level first embedding:
         # the penultimate one and every refinement step use levels 3-1
-        sizes2 = sizes if cfg.first_embedding == "last" else sizes[:3]
+        sizes2 = sizes if self.carry is None else sizes[:3]
         with W.SAMPLER.tables(sub2, sizes2, cfg.knn_k) as reply:
             tables1 = _named("pc1", sample_pyramid, sub1, sizes, cfg.knn_k)
             coords1, feats1 = self._run_pyramid(sub1, tables1)
@@ -227,7 +223,7 @@ class OdometryNet:
                 sub2, sizes2, cfg.knn_k))
             coords2, feats2 = self._run_pyramid(sub2, tables2)
 
-        if cfg.first_embedding == "penultimate":
+        if self.carry is not None:
             e3 = self.cv_init(coords1[2], feats1[2], coords2[2], feats2[2])
             # the same centers and neighborhoods as pc1's level 4
             _, e4 = set_conv(coords1[2], e3, *tables1[3], self.carry)
@@ -240,47 +236,26 @@ class OdometryNet:
         q, t = pose_head(e4, mask4, self.init_fc_q, self.init_fc_t)
         levels = [LevelOutput(4, coords1[3].data, q, t, e4, mask4)]
 
-        if cfg.use_warp_refinement:
-            emb, mask = e4, mask4
-            for level in (3, 2, 1):
-                i = level - 1
-                q, t, emb, mask = warp_refine(
-                    self.blocks[level], coords1[i], feats1[i], coords2[i],
-                    feats2[i], coords1[i + 1], emb, mask, q, t, cfg.up_k,
-                    use_warp=cfg.use_warp)
-                levels.append(LevelOutput(level, coords1[i].data,
-                                          q, t, emb, mask))
+        emb, mask = e4, mask4
+        for level, blk in self.blocks.items():
+            i = level - 1
+            q, t, emb, mask = warp_refine(
+                blk, coords1[i], feats1[i], coords2[i], feats2[i],
+                coords1[i + 1], emb, mask, q, t, cfg.up_k,
+                use_warp=cfg.ablation != "no_warp")
+            levels.append(LevelOutput(level, coords1[i].data, q, t, emb, mask))
         return NetOutput(levels)
 
 
-# squared distances between points of clouds within +-_MAX_COORD are at
-# most 3 * (2 * _MAX_COORD)**2, the largest float64; an extent below
-# _MIN_EXTENT squares to less than the smallest normal one
-_MAX_COORD = np.sqrt(np.finfo(np.float64).max / 12.0)
-_MIN_EXTENT = np.sqrt(np.finfo(np.float64).tiny)
-
-
 def _cloud(name: str, pc) -> np.ndarray:
-    """pc as float64 points; a NetError naming the cloud unless it is a
-    nonempty (n, 3) array of finite real numbers whose largest coordinate
-    and extent keep squared distances in float64's normal range (an extent
-    of 0, one distinct point, is exact and left to sampling to reject)."""
-    pc = np.asarray(pc)
-    if pc.dtype.kind not in "iuf":
-        raise NetError(f"{name}: coordinates must be real numbers, "
-                       f"got {pc.dtype}")
-    pc = pc.astype(np.float64, copy=False)
-    if pc.ndim != 2 or pc.shape[1] != 3 or pc.shape[0] < 1:
+    """pc as float64 points; a NetError naming the cloud unless it is
+    nonempty and meets pcops' cloud contract (pcops._points)."""
+    try:
+        pc = _points(pc, name)
+    except PcopsError as e:
+        raise NetError(str(e)) from e
+    if pc.shape[0] < 1:
         raise NetError(f"{name}: expected nonempty (n, 3) points")
-    if not np.isfinite(pc).all():
-        raise NetError(f"{name}: non-finite coordinates")
-    if np.abs(pc).max() > _MAX_COORD:
-        raise NetError(f"{name}: coordinates beyond {_MAX_COORD:.3g} "
-                       f"overflow squared distances")
-    extent = np.ptp(pc, axis=0).max()
-    if 0.0 < extent < _MIN_EXTENT:
-        raise NetError(f"{name}: an extent of {extent:.3g} underflows "
-                       f"squared distances")
     return pc
 
 

@@ -11,11 +11,11 @@ k that are the answer, more when the query ties at its k-th distance).
 FPS computes each pick's distance row to the whole cloud anyway, so it
 returns the pick's k nearest points with it, by the same selection:
 set_conv takes that table and the pyramid runs no KNN of its own.  Both
-reject clouds that are not (n, 3) or not finite, and FPS rejects a cloud
-with fewer distinct points than it must pick.  knn_indices runs its
-chunks of queries on two threads (lidom.workers.each), each with its own
-work buffers; a chunk writes only its own rows of the table, by the same
-code, so the table has the bits of one thread's.
+reject clouds that break _points' contract, and FPS rejects a cloud with
+fewer distinct points than it must pick.  knn_indices runs its chunks of
+queries on two threads (lidom.workers.each), each with its own work
+buffers; a chunk writes only its own rows of the table, by the same code,
+so the table has the bits of one thread's.
 
 sample_pyramid runs FPS level after level and returns every level's
 (centers, nbr) for one cloud.  No parameter reaches those tables, so
@@ -54,15 +54,40 @@ __all__ = [
 ]
 
 class PcopsError(ValueError):
-    """Invalid sample sizes, neighbor counts, or cloud shapes."""
+    """Invalid sample sizes, neighbor counts, or clouds."""
 
 
-def _points(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+# squared distances between points of clouds within +-_MAX_COORD are at
+# most 3 * (2 * _MAX_COORD)**2, the largest float64; an extent below
+# _MIN_EXTENT squares to less than the smallest normal one
+_MAX_COORD = np.sqrt(np.finfo(np.float64).max / 12.0)
+_MIN_EXTENT = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _points(a, name: str) -> np.ndarray:
+    """a as float64 points; a PcopsError naming it unless it is an (n, 3)
+    array of finite real numbers whose largest coordinate and extent keep
+    squared distances in float64's normal range (an extent of 0, one
+    distinct point, is exact and left to sampling to reject)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise PcopsError(f"{name}: coordinates must be real numbers, "
+                         f"got {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise PcopsError(f"{name} needs shape (n, 3), got {a.shape}")
+        raise PcopsError(f"{name}: expected (n, 3) points, got {a.shape}")
+    if a.size == 0:
+        return a
     if not np.isfinite(a).all():
-        raise PcopsError(f"{name} has non-finite coordinates")
+        raise PcopsError(f"{name}: non-finite coordinates")
+    lo, hi = a.min(axis=0), a.max(axis=0)
+    if max(-lo.min(), hi.max()) > _MAX_COORD:
+        raise PcopsError(f"{name}: coordinates beyond {_MAX_COORD:.3g} "
+                         f"overflow squared distances")
+    extent = (hi - lo).max()
+    if 0.0 < extent < _MIN_EXTENT:
+        raise PcopsError(f"{name}: an extent of {extent:.3g} underflows "
+                         f"squared distances")
     return a
 
 
@@ -166,7 +191,7 @@ def sample_pyramid(points: np.ndarray, sizes, k: int
     points) by farthest_point_sample, with each center's k nearest points
     there; both index the level below.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _points(points, "points")
     tables = []
     for m in sizes:
         centers, nbr = farthest_point_sample(points, m, k)

@@ -2,14 +2,14 @@
 
     OPENBLAS_NUM_THREADS=1 python tests/bits.py desk|full
 
-For desk_config or full_config at init_seed=1, the full model and each of
-its six ablations, on perfbench's seeded scan pairs 0 and 5 (scans.DESK or
-scans.FULL), the digest covers the checkpoint bytes, the eager and the
-taped forward's poses, and every parameter's gradient of perfbench's pose
-loss.  It prints the digest, then each taped pair's tape node count.  Two
-commits, or two runs of one, carry the same bits when they print the same
-lines.  pytest does not collect this file: at full scale it runs for tens
-of seconds.
+For desk_config or full_config at init_seed=1, each of lidom.net.ABLATIONS
+in turn (the full model, then its six ablations), on perfbench's seeded
+scan pairs 0 and 5 (scans.DESK or scans.FULL), the digest covers the
+checkpoint bytes, the eager and the taped forward's poses, and every
+parameter's gradient of perfbench's pose loss.  It prints the digest, then
+each taped pair's tape node count.  Two commits, or two runs of one, carry
+the same bits when they print the same lines.  pytest does not collect this
+file: at full scale it runs for tens of seconds.
 """
 import hashlib
 import sys
@@ -21,11 +21,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import scans  # noqa: E402
 import worker  # noqa: E402
 from lidom import tensor as T  # noqa: E402
-from lidom.net import OdometryNet, desk_config, full_config  # noqa: E402
-
-ABLATIONS = [{}, {"cost_volume_mode": "uniform"}, {"use_mask": False},
-             {"optimize_mask": False}, {"use_warp": False},
-             {"use_warp_refinement": False}, {"first_embedding": "last"}]
+from lidom.net import (ABLATIONS, OdometryNet, desk_config,  # noqa: E402
+                       full_config)
 SCALES = {"desk": (desk_config, scans.DESK), "full": (full_config, scans.FULL)}
 PAIRS = (0, 5)
 
@@ -34,8 +31,8 @@ def main(scale: str) -> None:
     config, spec = SCALES[scale]
     pairs = [scans.make_pair(spec, seed) for seed in PAIRS]
     digest, nodes = hashlib.sha256(), []
-    for overrides in ABLATIONS:
-        net = OdometryNet(config(init_seed=1, **overrides))
+    for ablation in ABLATIONS:
+        net = OdometryNet(config(init_seed=1, ablation=ablation))
         digest.update(T.save_params(net.store))
         for pair in pairs:
             eager = net.forward(pair.pc1, pair.pc2)

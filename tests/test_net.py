@@ -21,7 +21,7 @@ from conftest import grad_gap
 from lidom import tensor as T
 from lidom import workers as W
 from lidom.costvol import CostVolume
-from lidom.net import NetError, OdometryNet, desk_config
+from lidom.net import ABLATIONS, NetError, OdometryNet, desk_config
 from lidom.pcops import PcopsError
 
 
@@ -125,8 +125,12 @@ def test_forward_rejects_a_pc2_with_fewer_distinct_points_than_level_1(
 @pytest.mark.parametrize("key, value, match", [
     ("n2", 4096, "must not increase"),
     ("knn_k", 17, "knn_k=17 exceeds"),
-    ("first_embedding", "first", "first_embedding"),
-    ("cost_volume_mode", "banana", "cost_volume_mode"),
+    # a CostVolume mode, no value, and a list holding a valid one
+    ("ablation", "uniform", "ablation must be one of none, uniform_cost_"
+     "volume, no_mask, no_mask_optimization, no_warp, no_refinement, "
+     "last_level_embedding; got 'uniform'"),
+    ("ablation", None, "ablation must be one of .*; got None"),
+    ("ablation", ["none"], r"ablation must be one of .*; got \['none'\]"),
     ("knn_k", 0, "knn_k must be positive, got 0"),
     ("knn_k", -1, "knn_k must be positive, got -1"),
     ("cv_k1", 0, "cv_k1 must be positive"),
@@ -134,9 +138,6 @@ def test_forward_rejects_a_pc2_with_fewer_distinct_points_than_level_1(
     ("up_k", 0, "up_k must be positive"),
     ("fc_hidden1", 0, "fc_hidden1 must be positive"),
     ("fc_hidden2", 0, "fc_hidden2 must be positive"),
-    # a truthy string is no flag: it would build the masked model
-    ("use_mask", "no", "use_mask must be a bool, got 'no'"),
-    ("use_warp", 0, "use_warp must be a bool, got 0"),
     ("n1", 128.0, "n1 must be an integer, got 128.0"),
     ("cv_k1", 4.0, "cv_k1 must be an integer, got 4.0"),
     ("knn_k", True, "knn_k must be an integer, got True"),
@@ -150,54 +151,63 @@ def test_config_rejects(key, value, match):
         OdometryNet(desk_config(**{key: value}))
 
 
-def test_config_accepts_numpy_integers_and_bools():
+def test_config_accepts_numpy_integers_and_strings():
     ints = {k: np.int64(v) for k, v in vars(desk_config()).items()
             if isinstance(v, int) and not isinstance(v, bool)}
-    net = OdometryNet(desk_config(**ints, use_warp=np.bool_(True)))
+    net = OdometryNet(desk_config(**ints, ablation=np.str_("none")))
     out = net.forward(*_scans())
     assert _poses(out).tobytes() == \
         _poses(OdometryNet(desk_config()).forward(*_scans())).tobytes()
 
 
-# each ablation with the parameter-name fragment it removes
-ABLATIONS = [
-    ({}, ()),
-    ({"cost_volume_mode": "uniform"}, ("/u1/", "/u2/")),
-    ({"use_mask": False}, ("/mask/",)),
-    ({"optimize_mask": False}, ("up_m",)),
-    ({"use_warp": False}, ()),
-    ({"use_warp_refinement": False}, ("refine/",)),
-    ({"first_embedding": "last"}, ("init/carry",)),
-]
+# the parameter-name fragments each ablation removes
+GONE = {
+    "none": (),
+    "uniform_cost_volume": ("/u1/", "/u2/"),
+    "no_mask": ("/mask/",),
+    "no_mask_optimization": ("up_m",),
+    "no_warp": (),
+    "no_refinement": ("refine/",),
+    "last_level_embedding": ("init/carry",),
+}
 
 
-@pytest.mark.parametrize("overrides, gone", ABLATIONS,
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
-def test_ablation_forward_and_parameters(overrides, gone):
-    net = OdometryNet(desk_config(**overrides))
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_ablation_forward_and_parameters(ablation):
+    net = OdometryNet(desk_config(ablation=ablation))
     out = net.forward(*_scans())
-    expect = [4] if overrides.get("use_warp_refinement") is False \
-        else [4, 3, 2, 1]
+    expect = [4] if ablation == "no_refinement" else [4, 3, 2, 1]
     assert [lv.level for lv in out.levels] == expect
     poses = _poses(out)
     assert np.isfinite(poses).all()
     assert np.allclose(np.linalg.norm(poses[:, :4], axis=1), 1.0, atol=1e-12)
     names = net.store.names()
     full = OdometryNet(desk_config()).store.names()
-    for frag in gone:
+    for frag in GONE[ablation]:
         assert any(frag in n for n in full), frag
         assert not any(frag in n for n in names), frag
     # the same seed builds the same network, so poses match bit for bit
-    again = OdometryNet(desk_config(**overrides)).forward(*_scans())
+    again = OdometryNet(desk_config(ablation=ablation)).forward(*_scans())
     assert _poses(again).tobytes() == poses.tobytes()
 
 
-@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
-def test_eager_forward_equals_taped_bit_for_bit(overrides):
+def test_no_two_ablations_build_the_same_network():
+    # each ablation differs from every other in its parameters or, with the
+    # same ones (no_warp), in its poses
+    assert tuple(GONE) == ABLATIONS
+    built = set()
+    for ablation in ABLATIONS:
+        net = OdometryNet(desk_config(ablation=ablation))
+        built.add((frozenset(net.store.names()),
+                   _poses(net.forward(*_scans())).tobytes()))
+    assert len(built) == len(ABLATIONS)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_eager_forward_equals_taped_bit_for_bit(ablation):
     # eager ops skip what only backward reads (argmaxes, relu masks); what
     # they compute must not differ
-    net = OdometryNet(desk_config(**overrides))
+    net = OdometryNet(desk_config(ablation=ablation))
     pc1, pc2 = _scans()
     eager = net.forward(pc1, pc2)
     with T.Tape() as tape:
@@ -225,24 +235,24 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("first, fps_calls", [("penultimate", 4 + 3),
-                                              ("last", 4 + 4)])
-def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, first,
+@pytest.mark.parametrize("ablation, fps_calls",
+                         [("none", 4 + 3), ("last_level_embedding", 4 + 4)])
+def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, ablation,
                                                     fps_calls):
     # a penultimate first embedding and every refinement step read pc2's
     # levels 3-1 only, so its coarsest level is neither sampled nor built
     pyramids = _counting(monkeypatch, OdometryNet, "_run_pyramid")
     convs = _counting(monkeypatch, lidom.net, "set_conv")
-    OdometryNet(desk_config(first_embedding=first)).forward(*_scans())
+    OdometryNet(desk_config(ablation=ablation)).forward(*_scans())
     # one FPS per (centers, nbr) table: pc1's from this process, pc2's from
     # the sampler
     assert [len(tables) for _, _, tables in pyramids] == \
         [4, fps_calls - 4]
     # the penultimate embedding adds the carry set_conv to the pyramid's
-    assert len(convs) == fps_calls + (first == "penultimate")
+    assert len(convs) == fps_calls + (ablation == "none")
 
 
-def _check_taped_pair_nodes(monkeypatch, mode):
+def _check_taped_pair_nodes(monkeypatch, ablation):
     convs = _counting(monkeypatch, lidom.net, "set_conv")
     upconvs = _counting(monkeypatch, lidom.headmask, "set_upconv")
     refines = _counting(monkeypatch, lidom.net, "warp_refine")
@@ -256,7 +266,7 @@ def _check_taped_pair_nodes(monkeypatch, mode):
     monkeypatch.setattr(T, "mlp", lambda *a, **kw: mlp_kwargs.append(kw)
                         or mlp(*a, **kw))
     attends = _counting(monkeypatch, T, "attend")
-    net = OdometryNet(desk_config(cost_volume_mode=mode))
+    net = OdometryNet(desk_config(ablation=ablation))
     tape = _train_step(net, *_scans())[0]
     kinds = [node.kind for node in tape.nodes]
     n_masks = sum(map(len, masks))
@@ -273,14 +283,14 @@ def _check_taped_pair_nodes(monkeypatch, mode):
     linear = sum(not kw.get("relu_last", True) for kw in mlp_kwargs)
     assert pooled == len(convs) + len(upconvs)
     assert linear == n_masks + fc_layers
-    uniform = 2 * len(cvs) if mode == "uniform" else 0
+    uniform = 2 * len(cvs) if ablation == "uniform_cost_volume" else 0
     assert len(mlp_kwargs) - pooled - linear == (
         len(upconvs) + len(refines) + uniform)
     # an attentive cost volume is two attend nodes, one per stage, and each
     # of them takes, by identity, the layer lists u and v of one of its
     # stages, which record no mlp node; a uniform stage is its v's mlp
     # node, a sum and a mul
-    n_attend = 2 * len(cvs) if mode == "attentive" else 0
+    n_attend = 2 * len(cvs) if ablation == "none" else 0
     assert len(cvs) > 0 and kinds.count("attend") == len(attends) == n_attend
     handed = sorted((id(u), id(v)) for u, v, *_ in attends)
     assert handed == sorted(
@@ -294,19 +304,18 @@ def _check_taped_pair_nodes(monkeypatch, mode):
 
 
 def test_a_taped_pair_records_one_node_per_mlp_and_per_fc_layer(monkeypatch):
-    _check_taped_pair_nodes(monkeypatch, "attentive")
+    _check_taped_pair_nodes(monkeypatch, "none")
 
 
 def test_a_uniform_taped_pair_records_no_attend_node(monkeypatch):
-    _check_taped_pair_nodes(monkeypatch, "uniform")
+    _check_taped_pair_nodes(monkeypatch, "uniform_cost_volume")
 
 
-@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
-def test_no_taped_node_only_reshapes_a_gather_or_a_sum(overrides):
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_no_taped_node_only_reshapes_a_gather_or_a_sum(ablation):
     # a gather takes any index shape and a sum keeps its axis on request,
     # so each gives the shape its consumer reads without a reshape node
-    net = OdometryNet(desk_config(**overrides))
+    net = OdometryNet(desk_config(ablation=ablation))
     with T.Tape() as tape:
         net.forward(*_scans())
     reshaped = [tape.nodes[pid].kind for node in tape.nodes
@@ -314,13 +323,12 @@ def test_no_taped_node_only_reshapes_a_gather_or_a_sum(overrides):
     assert reshaped and not {"gather", "sum"} & set(reshaped)
 
 
-@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_a_taped_pair_has_a_leaf_per_parameter_it_uses_and_no_other(
-        monkeypatch, overrides):
+        monkeypatch, ablation):
     # T.mlp and T.attend are the only ops handed parameters: their layers
     handed = [_counting(monkeypatch, T, op) for op in ("mlp", "attend")]
-    net = OdometryNet(desk_config(**overrides))
+    net = OdometryNet(desk_config(ablation=ablation))
     with T.Tape() as tape:
         loss = _pose_loss(net.forward(*_scans()))
     used = {p.name for calls in handed for args in calls for stack in args
@@ -335,17 +343,16 @@ def test_a_taped_pair_has_a_leaf_per_parameter_it_uses_and_no_other(
                for node in tape.nodes if node.kind != "leaf")
 
 
-@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
-def test_every_rotated_quaternion_is_unit(monkeypatch, overrides):
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_every_rotated_quaternion_is_unit(monkeypatch, ablation):
     # rotate_points_t does not normalize q, so each caller must hand it a
     # unit one: warp_refine the coarse pose, pose_compose_t pose_head's dq
     calls = _counting(monkeypatch, lidom.geom, "rotate_points_t")
     monkeypatch.setattr(lidom.headmask, "rotate_points_t",
                         lidom.geom.rotate_points_t)
-    OdometryNet(desk_config(**overrides)).forward(*_scans())
-    refine = overrides.get("use_warp_refinement", True)
-    warp = overrides.get("use_warp", True)
+    OdometryNet(desk_config(ablation=ablation)).forward(*_scans())
+    refine = ablation != "no_refinement"
+    warp = ablation != "no_warp"
     assert len(calls) == 3 * refine * (1 + warp)
     for q, *_ in calls:
         assert abs(np.linalg.norm(q.data) - 1.0) <= 1e-15
@@ -353,7 +360,7 @@ def test_every_rotated_quaternion_is_unit(monkeypatch, overrides):
 
 def test_no_warp_changes_the_refined_poses():
     full = _poses(OdometryNet(desk_config()).forward(*_scans()))
-    no_warp = _poses(OdometryNet(desk_config(use_warp=False))
+    no_warp = _poses(OdometryNet(desk_config(ablation="no_warp"))
                      .forward(*_scans()))
     # level 4 is estimated before any warp, so it is unchanged
     assert full[0].tobytes() == no_warp[0].tobytes()
@@ -514,11 +521,10 @@ def _outputs(out):
                       lv.mask.data if lv.mask is not None else np.empty(0))]
 
 
-@pytest.mark.parametrize("overrides", [o for o, _ in ABLATIONS],
-                         ids=[next(iter(o), "full") for o, _ in ABLATIONS])
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_the_sampler_gives_the_bits_of_sampling_in_process(monkeypatch,
-                                                           overrides):
-    net = OdometryNet(desk_config(**overrides))
+                                                           ablation):
+    net = OdometryNet(desk_config(ablation=ablation))
     pc1, pc2 = _scans()
     calls = _counting(monkeypatch, lidom.net, "sample_pyramid")
 

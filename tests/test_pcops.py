@@ -239,18 +239,28 @@ def test_fps_rejects_bad_k():
             P.farthest_point_sample(pts, 2, k)
 
 
-@pytest.mark.parametrize("bad", [
-    np.zeros((4, 2)), np.zeros(3), np.array([[0.0, 0, 0], [np.nan, 0, 0]]),
-    np.array([[0.0, 0, 0], [0, np.inf, 0]]),
-])
-def test_knn_and_fps_reject_bad_coordinates(bad):
+_CLOUD = np.random.default_rng(0).normal(size=(50, 3))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.zeros((4, 2)), r"expected \(n, 3\) points"),
+    (np.zeros(3), r"expected \(n, 3\) points"),
+    (np.array([[0.0, 0, 0], [np.nan, 0, 0]]), "non-finite coordinates"),
+    (np.array([[0.0, 0, 0], [0, np.inf, 0]]), "non-finite coordinates"),
+    # squared distances would overflow, or underflow to zero or subnormals
+    (_CLOUD * 1e160, r"coordinates beyond 3\.87e\+153 overflow"),
+    (_CLOUD * 1e-170, r"an extent of .*e-170 underflows"),
+    # not silently cast to float64: the real part, or 0/1
+    (_CLOUD.astype(complex), "real numbers, got complex128"),
+    (_CLOUD > 0.0, "real numbers, got bool"),
+], ids=["2d", "1d", "nan", "inf", "huge", "tiny", "complex", "bool"])
+def test_knn_and_fps_reject_bad_coordinates(bad, match):
     good = np.zeros((4, 3))
-    with pytest.raises(P.PcopsError):
-        P.knn_indices(bad, good, 1)
-    with pytest.raises(P.PcopsError):
-        P.knn_indices(good, bad, 1)
-    with pytest.raises(P.PcopsError):
-        P.farthest_point_sample(bad, 1, 1)
+    for op in (lambda: P.knn_indices(bad, good, 1),
+               lambda: P.knn_indices(good, bad, 1),
+               lambda: P.farthest_point_sample(bad, 1, 1)):
+        with pytest.raises(P.PcopsError, match=match):
+            op()
 
 
 def test_random_sample_replacement_rule():
