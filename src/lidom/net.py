@@ -16,9 +16,9 @@ refinement at all (a single pose), and the first embedding at the coarsest
 level instead of the penultimate one.  __init__ builds the network for it,
 and forward runs what __init__ built.
 
-forward has lidom.workers' sampler process sample pc2's pyramid tables
-while pc1's pyramid runs, and samples them itself when the sampler gives no
-reply; the tables carry the same bits either way.
+forward has lidom.workers' sampler process build pc2's pyramid tables (one
+FPS run per cloud, pcops.sample_pyramid) while pc1's pyramid runs, or builds
+them itself when the sampler gives no reply, with the same bits.
 """
 from __future__ import annotations
 

@@ -9,16 +9,16 @@ every squared distance but sorts only a selection: a value partition finds
 each query's k-th distance, and only the entries within it are sorted (the
 k that are the answer, more when the query ties at its k-th distance).
 FPS computes each pick's distance row to the whole cloud anyway, so it
-returns the pick's k nearest points with it, by the same selection:
-set_conv takes that table and the pyramid runs no KNN of its own.  Both
+returns the pick's k nearest points with it, by the same selection.  Both
 reject clouds that break _points' contract, and FPS rejects a cloud with
 fewer distinct points than it must pick.  knn_indices runs its chunks of
-queries on two threads (lidom.workers.each), each with its own work
-buffers; a chunk writes only its own rows of the table, by the same code,
-so the table has the bits of one thread's.
+queries on two threads (lidom.workers.each); a chunk makes its own work
+arrays and writes only its own rows of the table, by the same code, so the
+table has the bits of one thread's.
 
-sample_pyramid runs FPS level after level and returns every level's
-(centers, nbr) for one cloud.  No parameter reaches those tables, so
+sample_pyramid returns every level's (centers, nbr) for one cloud from one
+FPS run: the deeper levels are prefixes of level 1's pick order, and their
+tables come from knn_indices.  No parameter reaches those tables, so
 OdometryNet.forward builds pc2's in lidom.workers' sampler process, with
 the bits of an in-process call, while it runs pc1's pyramid.
 
@@ -39,8 +39,6 @@ layer, and pose_head runs each FC layer, all linear, as a one-layer T.mlp
 (see headmask).
 """
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -133,6 +131,11 @@ def _nearest(d2: np.ndarray, k: int, within: np.ndarray,
     return kept[starts[:, None] + order] % n
 
 
+def _check_m(m: int, n: int) -> None:
+    if m < 1 or m > n:
+        raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
+
+
 def _check_k(k: int, n: int) -> None:
     if k < 1 or k > n:
         raise PcopsError(f"k={k} invalid for a reference cloud of {n}")
@@ -153,8 +156,7 @@ def farthest_point_sample(points: np.ndarray, m: int, k: int
     """
     points = _points(points, "points")
     n = points.shape[0]
-    if m < 1 or m > n:
-        raise PcopsError(f"cannot sample {m} points from a cloud of {n}")
+    _check_m(m, n)
     _check_k(k, n)
     cols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
     chunk = max(1, min(m, W.BLOCK_ELEMS // n))
@@ -188,15 +190,21 @@ def sample_pyramid(points: np.ndarray, sizes, k: int
     """Each pyramid level's (centers, nbr) for one cloud, finest first.
 
     Level i takes sizes[i] centers from the level below it (level 1 from
-    points) by farthest_point_sample, with each center's k nearest points
-    there; both index the level below.
+    points) by farthest-point sampling, with each center's k nearest points
+    there; both index the level below.  FPS runs once: pick j + 1 is the
+    farthest point from picks 0..j in points, so also in level 1, where any
+    tie is a later pick; so each deeper level is a prefix of level 1, with
+    the tables of farthest_point_sample run level by level, bit for bit.
     """
     points = _points(points, "points")
-    tables = []
-    for m in sizes:
-        centers, nbr = farthest_point_sample(points, m, k)
-        tables.append((centers, nbr))
-        points = points[centers]
+    if not sizes:
+        return []
+    centers, nbr = farthest_point_sample(points, sizes[0], k)
+    tables, level = [(centers, nbr)], points[centers]
+    for n, m in zip(sizes, sizes[1:]):
+        _check_m(m, n)
+        tables.append((np.arange(m, dtype=np.int64),
+                       knn_indices(level[:m], level[:n], k)))
     return tables
 
 
@@ -214,21 +222,13 @@ def knn_indices(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     ref_cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
     chunk = max(1, min(query.shape[0], W.BLOCK_ELEMS // n))
     out = np.empty((query.shape[0], k), dtype=np.int64)
-    bufs = {}   # each thread's (d2, tmp, within) chunk buffers
 
     def select(lo):
-        tid = threading.get_ident()
-        if tid not in bufs:
-            bufs[tid] = (np.empty((chunk, n)), np.empty((chunk, n)),
-                         np.empty((chunk, n), dtype=bool))
-        d2_buf, tmp_buf, within_buf = bufs[tid]
         q = query[lo:lo + chunk]
-        rows = q.shape[0]
-        d2 = _sq_dists(q.T[:, :, None], ref_cols, d2_buf[:rows],
-                       tmp_buf[:rows])
-        # the distances are done with tmp_buf, so the selection reuses it
-        out[lo:lo + rows] = _nearest(d2, k, within_buf[:rows],
-                                     tmp_buf[:rows])
+        d2, tmp = np.empty((2, len(q), n))
+        _sq_dists(q.T[:, :, None], ref_cols, d2, tmp)
+        # the distances are done with tmp, so the selection reuses it
+        out[lo:lo + len(q)] = _nearest(d2, k, np.empty(d2.shape, bool), tmp)
 
     W.each(select, range(0, query.shape[0], chunk))
     return out
@@ -273,7 +273,7 @@ def set_conv(coords: T.Tensor, feats: T.Tensor | None,
     """Sampled local aggregation.
 
     nbr is the (m, k) table of each center's nearest input points, as
-    farthest_point_sample returns it with the centers.  For each center,
+    sample_pyramid returns it with the centers.  For each center,
     max-pool the shared MLP over its k neighbors, as one pooled T.mlp op
     (pool=True), which builds no per-edge output.  The MLP's input per edge
     is (neighbor - center, neighbor features, center features); its first

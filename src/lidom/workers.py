@@ -10,22 +10,22 @@ interpreter lock, so the two threads' items overlap on two cores.  The
 first call with two items imports concurrent.futures and starts the
 helper; once the interpreter is shutting down, the caller runs every item.
 
-SAMPLER is the pc2 sampler process.  The pyramid's tables (FPS centres and
-k-NN tables, pcops.sample_pyramid) use no parameter, and nothing pc1 does
-needs pc2's until the first cost volume, so OdometryNet.forward sends pc2's
-subsample to the sampler and runs pc1's pyramid meanwhile.  The child runs
-the same sample_pyramid from the same lidom sources (it imports lidom.pcops
-only) on the same float64 points, and pickle carries arrays across the pipe
-byte for byte, so poses, tapes and gradients are those of sampling in this
-process.  One sampler serves every OdometryNet in a Python process; the
-first forward starts it with subprocess.Popen running `python -c` (not
-fork, and not multiprocessing, which re-imports the caller's __main__).  It
-exits when its stdin closes: at interpreter exit an atexit hook closes that
-pipe and reaps it, and if this process dies the pipe closes with it.  A
-forward whose sampler cannot start, has died or is busy with another
-thread's request samples pc2 itself, and the next forward starts a new
-sampler; a forward that raises with a request in flight kills the sampler,
-so no later request can read that reply.
+SAMPLER is the pc2 sampler process.  pcops.sample_pyramid's tables (one FPS
+run, then k-NN) use no parameter, and nothing pc1 does needs pc2's until
+the first cost volume, so OdometryNet.forward sends pc2's subsample to the
+sampler and runs pc1's pyramid meanwhile.  The child runs the same
+sample_pyramid from the same lidom sources (it imports lidom.pcops only) on
+the same float64 points, and pickle carries arrays across the pipe byte for
+byte, so poses, tapes and gradients are those of sampling in this process.
+One sampler serves every OdometryNet in a Python process; the first forward
+starts it with subprocess.Popen running `python -c` (not fork, and not
+multiprocessing, which re-imports the caller's __main__).  It exits when
+its stdin closes: at interpreter exit an atexit hook closes that pipe and
+reaps it, and if this process dies the pipe closes with it.  A forward
+whose sampler cannot start, has died or is busy with another thread's
+request samples pc2 itself, and the next forward starts a new sampler; a
+forward that raises with a request in flight kills the sampler, so no later
+request can read that reply.
 
 At a fork one os.register_at_fork hook drops the executor, both locks
 (another thread may hold either) and the sampler handle in the child,

@@ -1,11 +1,26 @@
 """Shared oracles: central-difference gradients, comparison helpers, a
 rank-3 matmul for the op chains that T.mlp and T.attend equal, and the op
-chain that a pooled T.mlp equals."""
+chain that a pooled T.mlp equals; and a loader for perfbench's modules."""
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from lidom import tensor as T
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as module perfbench_<name>, without putting
+    perfbench on the import path (dataclasses look the module up in
+    sys.modules while it runs)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -3,27 +3,16 @@ fails here rather than only on `from lidom.x import *`; and every function
 and method the benchmark's tracer patches by name still exists, with the
 leading arguments the tracer reads."""
 import importlib
-import importlib.util
 import inspect
 import pkgutil
-from pathlib import Path
 
 import pytest
 
 import lidom
+from conftest import load_perfbench
 
 MODULES = [m.name for m in pkgutil.iter_modules(lidom.__path__, "lidom.")]
-
-
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-SPANS = _load_spans()
+SPANS = load_perfbench("spans")
 
 
 @pytest.mark.parametrize("name", MODULES)

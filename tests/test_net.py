@@ -1,6 +1,6 @@
 """Whole-network input guards, config validation, the paper's ablations,
-the work a forward does, the tape's lifetime and a whole-network gradient
-check."""
+the work a forward does, the tape's lifetime, translation invariance up to
+the first warp and a whole-network gradient check under each ablation."""
 import gc
 import os
 import subprocess
@@ -17,7 +17,7 @@ import pytest
 import lidom.geom
 import lidom.headmask
 import lidom.net
-from conftest import grad_gap
+from conftest import grad_gap, load_perfbench
 from lidom import tensor as T
 from lidom import workers as W
 from lidom.costvol import CostVolume
@@ -235,21 +235,20 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("ablation, fps_calls",
+@pytest.mark.parametrize("ablation, levels",
                          [("none", 4 + 3), ("last_level_embedding", 4 + 4)])
 def test_pyramid_runs_only_the_levels_that_are_read(monkeypatch, ablation,
-                                                    fps_calls):
+                                                    levels):
     # a penultimate first embedding and every refinement step read pc2's
     # levels 3-1 only, so its coarsest level is neither sampled nor built
     pyramids = _counting(monkeypatch, OdometryNet, "_run_pyramid")
     convs = _counting(monkeypatch, lidom.net, "set_conv")
     OdometryNet(desk_config(ablation=ablation)).forward(*_scans())
-    # one FPS per (centers, nbr) table: pc1's from this process, pc2's from
-    # the sampler
-    assert [len(tables) for _, _, tables in pyramids] == \
-        [4, fps_calls - 4]
+    # one (centers, nbr) table per level: pc1's from this process, pc2's
+    # from the sampler
+    assert [len(tables) for _, _, tables in pyramids] == [4, levels - 4]
     # the penultimate embedding adds the carry set_conv to the pyramid's
-    assert len(convs) == fps_calls + (ablation == "none")
+    assert len(convs) == levels + (ablation == "none")
 
 
 def _check_taped_pair_nodes(monkeypatch, ablation):
@@ -480,7 +479,36 @@ def test_backward_computes_no_gradient_for_a_constant_input(monkeypatch):
         assert g.tobytes() == every[name].tobytes(), name
 
 
-def test_whole_network_gradient_matches_central_differences():
+SCANS = load_perfbench("scans")
+SHIFT = np.array([8.0, -4.0, 2.0])
+
+
+def _first_level(out):
+    lv = out.levels[0]
+    return [a.data.tobytes() for a in (lv.q, lv.t, lv.embedding, lv.mask)
+            if a is not None]
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_a_shifted_pair_gives_the_same_bits_up_to_the_first_warp(ablation):
+    # every feature before the first warp reads coordinate differences
+    # only, and on a 1/64 m grid the shifted clouds' differences are exact
+    pair = SCANS.make_pair(SCANS.DESK, 3)
+    pc1, pc2 = (np.round(pc * 64.0) / 64.0 for pc in (pair.pc1, pair.pc2))
+    net = OdometryNet(desk_config(init_seed=1, ablation=ablation))
+    base = net.forward(pc1, pc2)
+    shifted = net.forward(pc1 + SHIFT, pc2 + SHIFT)
+    assert _first_level(shifted) == _first_level(base)
+    # the warp rotates pc1 about the sensor origin, so a shift changes the
+    # refined poses; without the warp every level keeps its bits
+    if ablation == "no_warp":
+        assert _poses(shifted).tobytes() == _poses(base).tobytes()
+    # a shift of pc2 alone moves it against pc1
+    assert _first_level(net.forward(pc1, pc2 + SHIFT)) != _first_level(base)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_whole_network_gradient_matches_central_differences(ablation):
     """Central differences of the four-level pose loss against backward()
     on 24 parameter entries sampled with a fixed rng.
 
@@ -489,7 +517,7 @@ def test_whole_network_gradient_matches_central_differences():
     finite differences across that kink read half the slope (at zero biases
     pyramid/l1/mlp/1/b is off by over 20%).
     """
-    net = OdometryNet(desk_config())
+    net = OdometryNet(desk_config(ablation=ablation))
     rng = np.random.default_rng(0)
     for p in net.store:
         if p.name.endswith("/b"):

@@ -204,13 +204,17 @@ def test_fps_table_matches_knn_on_duplicate_grid(seed, n, m, k_is_n):
     assert nbr.tolist() == P.knn_indices(pts[centers], pts, k).tolist()
 
 
+def _grid(side):
+    axis = np.arange(float(side))
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
 @pytest.mark.parametrize("k", [1, 26, 343])
 def test_fps_table_when_every_point_is_picked(k):
     # m == n on a 7x7x7 lattice: 343 picks cross the 191-pick chunk, and
     # every lattice neighbourhood is full of distance ties
-    axis = np.arange(7.0)
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                   axis=-1).reshape(-1, 3)
+    pts = _grid(7)
     centers, nbr = P.farthest_point_sample(pts, len(pts), k)
     assert sorted(centers.tolist()) == list(range(len(pts)))
     assert nbr.tolist() == P.knn_indices(pts[centers], pts, k).tolist()
@@ -230,6 +234,37 @@ def test_sample_pyramid_equals_fps_level_by_level(sizes, k):
         assert centers.tobytes() == want_c.tobytes()
         assert nbr.tobytes() == want_nbr.tobytes()
         coords = T.gather_rows(coords, want_c)
+
+
+# sample_pyramid's deeper levels are prefixes of level 1: FPS run on an FPS
+# sample picks it again in order, on a lattice where every distance ties,
+# on a cloud full of duplicate points, and on one with no ties at all
+@pytest.mark.parametrize("pts, m", [
+    (_grid(9), 160),
+    (np.round(np.random.default_rng(4).normal(size=(1500, 3)) * 2) / 2, 120),
+    (np.random.default_rng(5).normal(size=(500, 3)), 160),
+], ids=["grid", "rounded-gaussian", "random"])
+def test_fps_of_an_fps_sample_picks_it_in_order(pts, m):
+    sample = pts[P.farthest_point_sample(pts, m, 1)[0]]
+    for i in range(1, m + 1):
+        got, _ = P.farthest_point_sample(sample, i, 1)
+        assert got.tolist() == list(range(i))
+
+
+@pytest.mark.parametrize("sizes, k, match", [
+    ([64, 65], 4, "cannot sample 65 points from a cloud of 64"),
+    ([64, 32, 0], 4, "cannot sample 0 points from a cloud of 32"),
+    ([64, 8, 4], 9, "k=9 invalid for a reference cloud of 8"),
+], ids=["more-than-below", "none", "k-beyond-level-2"])
+def test_sample_pyramid_rejects_what_fps_level_by_level_rejects(sizes, k,
+                                                                match):
+    pts = np.random.default_rng(3).normal(size=(600, 3))
+    with pytest.raises(P.PcopsError, match=match):
+        P.sample_pyramid(pts, sizes, k)
+
+
+def test_sample_pyramid_of_no_sizes_is_empty():
+    assert P.sample_pyramid(np.zeros((4, 3)), [], 1) == []
 
 
 def test_fps_rejects_bad_k():
